@@ -8,7 +8,8 @@
 //  * prepare()          — once per run, with the whole trace: oracles
 //                         (Greedy Total, Dynamic Programming) precompute
 //                         their future knowledge here; online algorithms
-//                         ignore it.
+//                         ignore it. An instance that adopted a shared
+//                         snapshot (below) has nothing left to prepare.
 //  * observe_contact()  — every contact, in trace order, before any
 //                         forwarding decision at that step: online history
 //                         (FRESH, Greedy, Greedy Online, PRoPHET) is built
@@ -42,15 +43,17 @@ namespace psn::forward {
 using graph::NodeId;
 using graph::Step;
 
-/// An immutable, step-indexed precomputation of the observation state an
-/// algorithm would otherwise rebuild from observe_contact() every run —
-/// for FRESH and PRoPHET that state is a pure function of the trace,
-/// independent of the message and the run, so one snapshot per scenario
-/// serves every run. Built by ForwardingAlgorithm::build_shared_snapshot,
-/// owned by engine::ScenarioContext (cached alongside the graph and
-/// counted against the cache byte budget), and handed back to fresh
-/// algorithm instances via adopt_shared_snapshot. Concrete types are
-/// private to the algorithm family that builds them.
+/// An immutable precomputation an algorithm would otherwise rebuild every
+/// run. Two kinds exist: step-indexed observation state that FRESH,
+/// Greedy, Greedy Online and PRoPHET would rebuild from observe_contact(),
+/// and Dynamic Programming's oracle matrix that prepare() would rebuild.
+/// Either is a pure function of the trace, independent of the message and
+/// the run, so one snapshot per scenario serves every run. Built by
+/// ForwardingAlgorithm::build_shared_snapshot, owned by
+/// engine::ScenarioContext (cached alongside the graph and counted
+/// against the cache byte budget), and handed back to fresh algorithm
+/// instances via adopt_shared_snapshot. Concrete types are private to the
+/// algorithm family that builds them.
 class ObservationSnapshot {
  public:
   virtual ~ObservationSnapshot() = default;
@@ -106,8 +109,9 @@ class ForwardingAlgorithm {
   /// override; 1 means pure single-copy, 0 means unbounded replication).
   [[nodiscard]] virtual std::uint32_t initial_copies() const { return 1; }
 
-  /// Non-empty iff this algorithm's observation state is a pure function
-  /// of the trace and can be shared across runs as an ObservationSnapshot.
+  /// Non-empty iff this algorithm's observation state (or oracle
+  /// precomputation) is a pure function of the trace and can be shared
+  /// across runs as an ObservationSnapshot.
   /// The key identifies the snapshot in the scenario's store — include
   /// every parameter the snapshot depends on (e.g. PRoPHET's constants),
   /// so differently-parameterized instances never share state.
@@ -129,7 +133,8 @@ class ForwardingAlgorithm {
   /// answers should_forward() from the snapshot, reports
   /// observes_contacts() == false, and must produce bit-identical
   /// decisions to its un-adopted self — which is what lets the simulator
-  /// skip the per-run contact replay entirely.
+  /// skip the per-run contact replay (or, for an oracle, the per-run
+  /// prepare() work) entirely.
   virtual void adopt_shared_snapshot(
       std::shared_ptr<const ObservationSnapshot> snapshot) {
     (void)snapshot;

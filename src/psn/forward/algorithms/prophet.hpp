@@ -23,6 +23,10 @@
 // last write at or before s. Identical code making identical write
 // decisions is what makes adopted (snapshot-backed) runs bit-identical
 // to per-run replay.
+//
+// An encounter's transitivity update is one merge walk over the two
+// endpoints' peer-sorted rows into scratch rows that are copied back, so
+// it costs O(|row a| + |row b|) with no per-peer searches or inserts.
 
 #pragma once
 
@@ -59,6 +63,13 @@ class ProphetTable {
     double v;
   };
 
+  /// P(x, c) = v as of step w, for one peer c of a row.
+  struct Cell {
+    NodeId c;
+    Step w;  ///< step of the last write.
+    double v;
+  };
+
   void init(NodeId n, const ProphetParams& params);
   /// Clears all rows (capacity retained) for another run.
   void clear();
@@ -74,13 +85,15 @@ class ProphetTable {
   /// snapshot can decay recorded writes with bit-identical arithmetic.
   [[nodiscard]] double decay(Step units) const;
 
- private:
-  struct Cell {
-    NodeId c;
-    Step w;  ///< step of the last write.
-    double v;
-  };
+  /// Node x's cells, sorted by peer: every peer ever written for x (cells
+  /// are updated in place, never removed).
+  [[nodiscard]] const std::vector<Cell>& row(NodeId x) const {
+    return rows_[x];
+  }
 
+ private:
+  /// The cell's value decayed to step s.
+  [[nodiscard]] double value(const Cell& cell, Step s) const;
   void upsert(NodeId x, NodeId c, Step s, double v, std::vector<Write>* log);
 
   std::vector<std::vector<Cell>> rows_;
@@ -88,7 +101,9 @@ class ProphetTable {
   /// is deterministic whatever the read order, so lazy growth is safe in
   /// the single-threaded per-run table).
   mutable std::vector<double> decay_;
-  std::vector<NodeId> union_keys_;  ///< per-observe scratch.
+  /// observe()'s merge output for rows a and b, copied back at its end.
+  std::vector<Cell> next_a_;
+  std::vector<Cell> next_b_;
   ProphetParams params_;
 };
 

@@ -34,16 +34,16 @@ std::string error_line(const std::string& id, const std::string& error) {
 
 }  // namespace
 
-void process_line(SweepService& service, const std::string& line,
+bool process_line(SweepService& service, const std::string& line,
                   std::function<void(const std::string&)> write_line) {
-  if (is_blank(line)) return;
+  if (is_blank(line)) return false;
 
   Json json;
   try {
     json = Json::parse(line);
   } catch (const JsonError& e) {
     write_line(error_line("", e.what()));
-    return;
+    return false;
   }
 
   Request request;
@@ -52,13 +52,16 @@ void process_line(SweepService& service, const std::string& line,
   } catch (const RequestError& e) {
     const Json& id = json.is_object() ? json.at("id") : json;
     write_line(error_line(id.is_string() ? id.as_string() : "", e.what()));
-    return;
+    return false;
   }
 
+  const bool shutdown = request.family == Family::kAdmin &&
+                        request.admin.command == AdminCommand::kShutdown;
   service.enqueue(std::move(request),
                   [write_line = std::move(write_line)](const Json& response) {
                     write_line(response.dump());
                   });
+  return shutdown;
 }
 
 int run_stdio_server(SweepService& service, std::istream& in,
@@ -71,11 +74,13 @@ int run_stdio_server(SweepService& service, std::istream& in,
     out << text << '\n' << std::flush;
   };
 
+  // Stop reading at EOF or once a shutdown is admitted: waiting for the
+  // next line would block for as long as the client keeps stdin open.
   std::string line;
-  while (!service.shutdown_requested() && std::getline(in, line))
-    process_line(service, line, write_line);
+  while (std::getline(in, line))
+    if (process_line(service, line, write_line)) break;
 
-  // EOF (or shutdown): answer everything already admitted before exiting.
+  // Answer everything already admitted, the shutdown included.
   service.drain();
   return 0;
 }

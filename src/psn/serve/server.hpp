@@ -24,12 +24,14 @@ namespace psn::serve {
 /// receives each response's canonical single-line serialization (without
 /// the trailing newline) — asynchronously for admitted requests, and
 /// synchronously for parse/validation errors. It must be callable from
-/// the dispatcher thread and serialize its own writes.
-void process_line(SweepService& service, const std::string& line,
+/// the dispatcher thread and serialize its own writes. Returns true iff
+/// the line admitted an admin shutdown request.
+bool process_line(SweepService& service, const std::string& line,
                   std::function<void(const std::string&)> write_line);
 
-/// Reads requests from `in` until EOF or shutdown, writing responses to
-/// `out`. Returns the process exit code (0).
+/// Reads requests from `in` until EOF or an admitted shutdown, then
+/// answers every admitted request, writing responses to `out`. Returns
+/// the process exit code (0).
 int run_stdio_server(SweepService& service, std::istream& in,
                      std::ostream& out);
 

@@ -839,6 +839,33 @@ TEST(Sweep, SharedSnapshotsPersistOnCachedContext) {
   EXPECT_EQ(context->observations->bytes(), bytes_after_first);
 }
 
+// Dynamic Programming shares its all-pairs expected-delay matrix through
+// the same store: a shared sweep leaves exactly one n x n matrix on the
+// context, and matches the per-run oracle (prepare() in every run) bit
+// for bit at 1 and 8 threads.
+TEST(Sweep, DynamicProgrammingSharesOneMatrixPerScenario) {
+  auto& cache = ScenarioContextCache::instance();
+  const auto scenario = owned_scenario(111, "dp-shared-matrix");
+  const auto context = cache.acquire(scenario);
+  PlanConfig config;
+  config.runs = 3;
+  config.master_seed = 17;
+  config.message_rate = 0.02;
+  const auto plan = make_plan({scenario}, {"Dynamic Programming"}, config);
+
+  for (const std::size_t threads : {1u, 8u}) {
+    SweepOptions oracle;
+    oracle.threads = threads;
+    oracle.observation = ObservationMode::kPerRun;
+    SweepOptions shared;
+    shared.threads = threads;
+    expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, shared));
+  }
+  const std::uint64_t n = context->dataset->trace.num_nodes();
+  EXPECT_EQ(context->observations->bytes(), n * n * sizeof(double));
+  (void)cache.evict("dp-shared-matrix");
+}
+
 // The engine-level coalescing lemma psn_serve's request batching rests
 // on: per-run seeds never see the algorithm index, so a single-scenario
 // plan with a merged algorithm axis produces per-algorithm cells

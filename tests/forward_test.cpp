@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "psn/forward/algorithm_registry.hpp"
@@ -791,6 +796,211 @@ TEST(SharedSnapshots, AdoptedRunsAreReusableAcrossSimulations) {
   const auto first = f.run(*adopted, msgs);
   const auto second = f.run(*adopted, msgs);
   expect_results_identical(first, second, "FRESH adopted reuse");
+}
+
+// Dynamic Programming's snapshot is oracle precomputation, not contact
+// observation: it never observes contacts, adopted or not, so it has a
+// helper of its own. Adoption must make prepare() a no-op that leaves the
+// per-run prepare()'s decisions bit for bit.
+void expect_adopted_oracle_matches_per_run(const std::string& name,
+                                           const Fixture& f,
+                                           const std::vector<Message>& msgs) {
+  const auto oracle = make_algorithm(name);
+  const auto adopted = make_algorithm(name);
+  ASSERT_FALSE(adopted->shared_snapshot_key().empty()) << name;
+  const auto snapshot = adopted->build_shared_snapshot(f.graph, f.trace);
+  ASSERT_TRUE(snapshot != nullptr) << name;
+  adopted->adopt_shared_snapshot(snapshot);
+  EXPECT_FALSE(oracle->observes_contacts()) << name;
+  EXPECT_FALSE(adopted->observes_contacts()) << name;
+
+  auto full = f.request(*oracle, msgs);
+  full.contact_scan = ContactScan::kFull;
+  auto fast = f.request(*adopted, msgs);
+  expect_results_identical(simulate(full), simulate(fast), name);
+}
+
+TEST(SharedSnapshots, DynamicProgrammingMatrixIsParameterFree) {
+  const std::string key =
+      make_algorithm("Dynamic Programming")->shared_snapshot_key();
+  EXPECT_FALSE(key.empty());
+  EXPECT_EQ(key, MinExpectedDelayForwarding().shared_snapshot_key());
+  EXPECT_NE(key, ContactHistoryIndex::kKey);
+  EXPECT_NE(key, make_algorithm("PRoPHET")->shared_snapshot_key());
+
+  const Fixture f(burst_gap_contacts(), 7, 1100.0);
+  const auto snapshot =
+      MinExpectedDelayForwarding().build_shared_snapshot(f.graph, f.trace);
+  ASSERT_TRUE(snapshot != nullptr);
+  EXPECT_EQ(snapshot->bytes(), sizeof(double) * 7 * 7);
+}
+
+TEST(SharedSnapshots, AdoptedDynamicProgrammingMatchesPerRunPrepare) {
+  const Fixture f(burst_gap_contacts(), 7, 1100.0);
+  expect_adopted_oracle_matches_per_run("Dynamic Programming", f,
+                                        burst_gap_messages());
+
+  // The adopted matrix is the one prepare() computes, entry for entry,
+  // and prepare() leaves it alone once adopted, whatever trace it gets.
+  MinExpectedDelayForwarding per_run;
+  per_run.prepare(f.graph, f.trace);
+  MinExpectedDelayForwarding adopted;
+  adopted.adopt_shared_snapshot(
+      adopted.build_shared_snapshot(f.graph, f.trace));
+  const Fixture other({Contact::make(5, 6, 0.0, 5.0)}, 7, 60.0);
+  adopted.prepare(other.graph, other.trace);
+  for (NodeId from = 0; from < 7; ++from)
+    for (NodeId to = 0; to < 7; ++to)
+      EXPECT_EQ(adopted.distance(from, to), per_run.distance(from, to))
+          << from << "->" << to;
+}
+
+TEST(SharedSnapshots, AdoptedDynamicProgrammingIsReusableAcrossSimulations) {
+  const Fixture f(burst_gap_contacts(), 7, 1100.0);
+  const auto adopted = make_algorithm("Dynamic Programming");
+  adopted->adopt_shared_snapshot(
+      adopted->build_shared_snapshot(f.graph, f.trace));
+  const auto msgs = burst_gap_messages();
+  const auto first = f.run(*adopted, msgs);
+  const auto second = f.run(*adopted, msgs);
+  expect_results_identical(first, second, "Dynamic Programming adopted reuse");
+}
+
+// --- PRoPHET's merge-pass transitivity vs the per-peer lookup form. ---
+// A test-local copy of the binary-search-and-insert ProphetTable::observe
+// the merge pass replaced. Driven with the same events, the two must make
+// the same writes, bitwise and in the same order.
+
+class LookupProphetTable {
+ public:
+  explicit LookupProphetTable(NodeId n, const ProphetParams& params)
+      : rows_(n), params_(params) {}
+
+  void observe(NodeId a, NodeId b, Step s,
+               std::vector<ProphetTable::Write>* log) {
+    {
+      const double old = read(a, b, s);
+      upsert(a, b, s, old + (1.0 - old) * params_.p_init, log);
+    }
+    {
+      const double old = read(b, a, s);
+      upsert(b, a, s, old + (1.0 - old) * params_.p_init, log);
+    }
+    std::vector<NodeId> keys;
+    for (const Cell& cell : rows_[a]) keys.push_back(cell.c);
+    for (const Cell& cell : rows_[b]) keys.push_back(cell.c);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const double p_ab = read(a, b, s);
+    const double p_ba = read(b, a, s);
+    for (const NodeId c : keys) {
+      if (c == a || c == b) continue;
+      const double cand_a = p_ab * read(b, c, s) * params_.beta;
+      if (cand_a >= params_.transitive_floor && cand_a > read(a, c, s))
+        upsert(a, c, s, cand_a, log);
+      const double cand_b = p_ba * read(a, c, s) * params_.beta;
+      if (cand_b >= params_.transitive_floor && cand_b > read(b, c, s))
+        upsert(b, c, s, cand_b, log);
+    }
+  }
+
+ private:
+  using Cell = ProphetTable::Cell;
+
+  double decay(Step units) {
+    while (decay_.size() <= units)
+      decay_.push_back(decay_.back() * params_.gamma);
+    return decay_[units];
+  }
+
+  std::vector<Cell>::iterator find(NodeId x, NodeId c) {
+    auto& row = rows_[x];
+    return std::lower_bound(
+        row.begin(), row.end(), c,
+        [](const Cell& cell, NodeId key) { return cell.c < key; });
+  }
+
+  double read(NodeId x, NodeId c, Step s) {
+    const auto it = find(x, c);
+    if (it == rows_[x].end() || it->c != c) return 0.0;
+    return it->v * decay(s / params_.aging_unit - it->w / params_.aging_unit);
+  }
+
+  void upsert(NodeId x, NodeId c, Step s, double v,
+              std::vector<ProphetTable::Write>* log) {
+    const auto it = find(x, c);
+    if (it != rows_[x].end() && it->c == c) {
+      it->w = s;
+      it->v = v;
+    } else {
+      rows_[x].insert(it, Cell{c, s, v});
+    }
+    log->push_back(ProphetTable::Write{x, c, s, v});
+  }
+
+  std::vector<std::vector<Cell>> rows_;
+  std::vector<double> decay_{1.0};
+  ProphetParams params_;
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t out;
+  std::memcpy(&out, &v, sizeof out);
+  return out;
+}
+
+TEST(Prophet, MergePassMatchesLookupFormulation) {
+  constexpr std::size_t kTrials = 48;
+  constexpr std::size_t kEvents = 400;
+  std::mt19937_64 rng(20070601);
+  std::size_t writes = 0;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const auto n = static_cast<NodeId>(2 + rng() % 11);
+    ProphetParams params;
+    params.transitive_floor = trial % 2 == 0 ? 0.0 : 0.05;
+    params.aging_unit = static_cast<Step>(1 + rng() % 6);
+    // With beta <= 1 the b-side candidate after an a-side write never
+    // beats P(b,c), so no peer gets both writes; beta > 1 makes that
+    // sequencing (and the (a,c)-before-(b,c) log order) observable.
+    params.beta = trial % 4 < 2 ? 0.25 : 3.0;
+    ProphetTable merged;
+    merged.init(n, params);
+    LookupProphetTable lookup(n, params);
+    std::vector<ProphetTable::Write> merged_log;
+    std::vector<ProphetTable::Write> lookup_log;
+
+    auto s = static_cast<Step>(rng() % 20);
+    NodeId a = 0;
+    NodeId b = 1;
+    for (std::size_t event = 0; event < kEvents; ++event) {
+      // Steps advance by nothing, by one, or to, just before, and just
+      // past aging-unit boundaries; every third event repeats the last
+      // pair.
+      const Step unit = params.aging_unit;
+      const Step to_boundary = unit - s % unit;
+      const Step advances[] = {0, 1, to_boundary, to_boundary + unit - 1,
+                               unit + 1};
+      s += advances[rng() % 5];
+      if (event % 3 != 0) {
+        a = static_cast<NodeId>(rng() % n);
+        b = static_cast<NodeId>(rng() % (n - 1));
+        if (b >= a) ++b;
+      }
+      merged.observe(a, b, s, &merged_log);
+      lookup.observe(a, b, s, &lookup_log);
+    }
+
+    ASSERT_EQ(merged_log.size(), lookup_log.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < merged_log.size(); ++i) {
+      const auto& m = merged_log[i];
+      const auto& l = lookup_log[i];
+      ASSERT_TRUE(m.x == l.x && m.c == l.c && m.s == l.s &&
+                  bits(m.v) == bits(l.v))
+          << "trial " << trial << " write " << i;
+    }
+    writes += merged_log.size();
+  }
+  EXPECT_GT(writes, kTrials * kEvents * 2);  // transitive writes too.
 }
 
 TEST(Simulator, WorkspaceReuseIsBitIdentical) {

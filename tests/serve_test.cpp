@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -405,6 +407,38 @@ TEST(Server, ProcessLineRejectsMalformedInputWithoutDying) {
   const Json validation_error = Json::parse(lines[1]);
   EXPECT_FALSE(validation_error.at("ok").as_bool());
   EXPECT_EQ(validation_error.at("id").as_string(), "v");
+}
+
+// An admitted shutdown ends the stdio loop without reading another line
+// (a client that keeps stdin open must not hold the server), yet every
+// request admitted before it is still answered.
+TEST(Server, StdioLoopStopsReadingAtAdmittedShutdown) {
+  ServiceConfig config;
+  config.threads = 1;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+
+  std::istringstream in(
+      R"({"id":"s","family":"admin","command":"stats"})"
+      "\n"
+      R"({"id":"x","family":"admin","command":"shutdown"})"
+      "\n"
+      R"({"id":"late","family":"admin","command":"stats"})"
+      "\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_stdio_server(service, in, out), 0);
+  EXPECT_TRUE(service.shutdown_requested());
+
+  std::vector<std::string> ids;
+  std::istringstream responses(out.str());
+  for (std::string line; std::getline(responses, line);)
+    ids.push_back(Json::parse(line).at("id").as_string());
+  std::sort(ids.begin(), ids.end());  // responses may arrive out of order.
+  EXPECT_EQ(ids, (std::vector<std::string>{"s", "x"}));
+  // The line after the shutdown is left unread.
+  std::string rest;
+  std::getline(in, rest);
+  EXPECT_NE(rest.find("late"), std::string::npos);
 }
 
 }  // namespace

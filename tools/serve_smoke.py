@@ -18,7 +18,8 @@ rather than a hang or a vacuous pass:
     fails;
   * shutdown handshake: after the shutdown response the process must
     exit 0 within the handshake deadline, or it is killed and the run
-    fails.
+    fails — both after a session whose stdin is closed and, in a second
+    session, with stdin still open (the server must not wait for EOF).
 
 Usage:
   serve_smoke.py path/to/psn_serve
@@ -186,6 +187,26 @@ def validate_envelope(response):
             f"{response.get('id')}: negative latency")
 
 
+def shutdown_with_open_stdin(binary):
+    """Shutdown while the client keeps stdin open: the server must answer
+    and exit on its own, not block reading the next line."""
+    child = Child([binary])
+    request = {"id": "smoke-open-shutdown", "family": "admin",
+               "command": "shutdown"}
+    try:
+        child.proc.stdin.write(json.dumps(request) + "\n")
+        child.proc.stdin.flush()
+    except (BrokenPipeError, OSError):
+        child.proc.wait()
+        child.die("stdin pipe broke while sending shutdown")
+    response = child.next_response("the shutdown response (stdin open)")
+    require(response["id"] == request["id"],
+            f"unexpected response {response['id']} (stdin open)")
+    validate_envelope(response)
+    child.expect_clean_exit()
+    child.proc.stdin.close()
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -250,6 +271,8 @@ def main():
     # The response is not the end of the handshake: the process itself
     # must now exit 0, promptly.
     child.expect_clean_exit()
+
+    shutdown_with_open_stdin(sys.argv[1])
 
     print(f"serve_smoke: OK ({len(responses)} responses, clean exit; "
           f"Epidemic success {cells[0]['success_rate']:.4f}, "
