@@ -10,10 +10,11 @@ Two classes of check, with very different trust levels:
   regression even if everything left got faster). The fast-vs-oracle
   ratios are also machine-independent in the sense that both legs ran in
   the *same* process on the same machine — the fresh file alone must
-  show the word flood kernel no slower than the scalar oracle for
-  Epidemic, and the holder-incident + shared-snapshot fast path no
-  slower than the full-replay per-run-observation oracle for the
-  non-flood schemes, on the city_2048-and-up tiers. Same for the
+  show the fast path no slower than the reference-simulator oracle
+  (forward::simulate_reference: every step, every edge, per-run
+  observation state), for Epidemic's word flood closure and for the
+  non-flood schemes' holder-incident + shared-snapshot relay, on the
+  city_2048-and-up tiers. Same for the
   resident-service gates: batch bit-identity and the served-vs-cold
   throughput ratio are properties of the fresh file alone.
 
@@ -37,16 +38,16 @@ import argparse
 import json
 import sys
 
-# Fresh-file word-vs-scalar gate: tiers at or above this node count must
-# show mean scalar wall >= WORD_KERNEL_MARGIN x mean word wall for the
-# flooding algorithm. Below it the kernels are within noise of each
+# Fresh-file Epidemic gate: tiers at or above this node count must show
+# mean oracle wall >= WORD_KERNEL_MARGIN x mean fast (word closure) wall
+# for the flooding algorithm. Below it the kernels are within noise of each
 # other and the gate would just flake.
 WORD_KERNEL_MIN_NODES = 2048
 WORD_KERNEL_MARGIN = 0.95
 
 # Fresh-file non-flood fast-path gate: on tiers at or above this node
 # count, the holder-incident + shared-snapshot fast path must be no
-# slower than the full-replay per-run-observation oracle for every
+# slower than the reference-simulator oracle for every
 # non-flooding algorithm that carries both wall columns. Same margin
 # rationale as the word-kernel gate.
 NONFLOOD_FAST_MIN_NODES = 2048
@@ -120,9 +121,10 @@ def check_node_scaling(gate, fresh, baseline, wall_tol):
         # Every fast path must beat (or at worst tie) its oracle re-run
         # on the large tiers — compared within the fresh file, so machine
         # noise between runs of the gate does not apply. For Epidemic
-        # that is word-parallel vs scalar flood kernel; for the non-flood
+        # that is the word-parallel flood closure; for the non-flood
         # schemes it is holder-incident replay + shared observation
-        # snapshots vs full per-step scans + per-run observation state.
+        # snapshots. The oracle is the reference simulator with per-run
+        # observation state (the scalar_run_wall_seconds key).
         for algo in fp.get("algorithms", []):
             scalar = algo.get("scalar_run_wall_seconds", [])
             fast = fast_walls(algo)
@@ -135,7 +137,7 @@ def check_node_scaling(gate, fresh, baseline, wall_tol):
                 gate.check(
                     mean(scalar) >= WORD_KERNEL_MARGIN * mean(fast),
                     f"node_scaling/{name}: word-parallel Epidemic "
-                    f"({mean(fast):.3f}s/run) slower than scalar oracle "
+                    f"({mean(fast):.3f}s/run) slower than reference oracle "
                     f"({mean(scalar):.3f}s/run)",
                 )
             elif (
@@ -145,7 +147,7 @@ def check_node_scaling(gate, fresh, baseline, wall_tol):
                 gate.check(
                     mean(scalar) >= NONFLOOD_FAST_MARGIN * mean(fast),
                     f"node_scaling/{name}: {algo['name']} fast path "
-                    f"({mean(fast):.3f}s/run) slower than full-replay "
+                    f"({mean(fast):.3f}s/run) slower than reference "
                     f"oracle ({mean(scalar):.3f}s/run)",
                 )
 

@@ -8,11 +8,11 @@
 //  * the node-count scaling series (per-run wall times for epidemic,
 //    FRESH, and PRoPHET on the registry's town_128 … megacity_65k tiers,
 //    with graph arena bytes/contact as the memory column and an oracle
-//    re-run — scalar flood kernel + full per-step scans + per-run
-//    observation state — as every fast path's baseline), and
-//  * the event-timeline comparison (dense step-by-step replay vs the
-//    sparse active-step timeline, per-run wall seconds on the large
-//    sparse tiers), and
+//    re-run through forward::simulate_reference — every step, every
+//    edge, per-run observation state — as every fast path's baseline),
+//    and
+//  * the event-timeline series (sparse active-step replay, per-run wall
+//    seconds on the large sparse tiers), and
 //  * the path-explosion comparison (dense vs sparse k-path enumeration
 //    through the engine's parallel path sweep, per-tier enumeration
 //    walls and deliveries/s), and
@@ -37,7 +37,7 @@
 // "town_128,campus_512,city_2048,metro_16k,megacity_65k"; empty disables
 // the scaling series), PSN_BENCH_SCALING_RUNS (default 2),
 // PSN_BENCH_SCALAR_MAX_NODES (largest tier that also re-runs the
-// full-replay scalar oracle, default 16384 — the oracle at 65k nodes is
+// reference-simulator oracle, default 16384 — the oracle at 65k nodes is
 // minutes per run, not a per-PR trajectory point),
 // PSN_BENCH_FRESH_MAX_NODES (largest tier that includes the non-flood
 // legs FRESH and PRoPHET in the scaling series, default 65536 — the
@@ -254,8 +254,8 @@ struct ScalePoint {
     /// replicators, holder-incident scan + shared observation snapshots
     /// for the non-flood schemes.
     std::vector<double> run_walls;
-    /// Oracle walls for the same runs — scalar flood kernel, full
-    /// per-step scans, per-run observation state. Outcomes are
+    /// Oracle walls for the same runs through simulate_reference —
+    /// every step, every edge, per-run observation state. Outcomes are
     /// bit-identical to the fast path; only walls differ. Empty above
     /// the PSN_BENCH_SCALAR_MAX_NODES cap.
     std::vector<double> scalar_run_walls;
@@ -371,7 +371,7 @@ std::vector<ScalePoint> run_scaling_bench() {
   psn::engine::ThreadPool pool(psn::engine::ThreadPool::hardware_threads());
   const psn::util::ParallelFor pool_executor = psn::engine::parallel_for(pool);
   std::cout << "\nnode-count scaling series: {epidemic, FRESH, PRoPHET} x "
-            << runs << " runs per tier (scalar/full-replay oracle up to N="
+            << runs << " runs per tier (reference-simulator oracle up to N="
             << scalar_cap << ", non-flood legs up to N=" << fresh_cap
             << ")\n";
   for (const auto& name : names) {
@@ -417,18 +417,16 @@ std::vector<ScalePoint> run_scaling_bench() {
     psn::engine::SweepOptions options;
     options.keep_delays = false;
     const auto result = psn::engine::run_sweep(plan, options);
-    // The oracle leg replays the identical runs with every fast path
-    // disabled: scalar flood kernel, full per-step contact scans, and
-    // per-run observation state. Outcomes are bit-identical to the fast
-    // sweep above — only walls differ. Above the cap the oracle re-run
-    // is skipped (it is minutes, not seconds, at 65k nodes).
-    psn::engine::SweepResult scalar_result;
-    const bool run_scalar = point.nodes <= scalar_cap;
-    if (run_scalar) {
-      options.flood_kernel = psn::forward::FloodKernel::kScalar;
-      options.contact_scan = psn::forward::ContactScan::kFull;
-      options.observation = psn::engine::ObservationMode::kPerRun;
-      scalar_result = psn::engine::run_sweep(plan, options);
+    // The oracle leg replays the identical runs through the reference
+    // simulator: every step, every contact edge, node-by-node flood
+    // closure, per-run observation state. Outcomes are bit-identical to
+    // the fast sweep above — only walls differ. Above the cap the oracle
+    // re-run is skipped (it is minutes, not seconds, at 65k nodes).
+    psn::engine::SweepResult oracle_result;
+    const bool run_oracle = point.nodes <= scalar_cap;
+    if (run_oracle) {
+      options.reference = true;
+      oracle_result = psn::engine::run_sweep(plan, options);
     }
 
     for (std::size_t c = 0; c < result.cells.size(); ++c) {
@@ -436,7 +434,7 @@ std::vector<ScalePoint> run_scaling_bench() {
       ScalePoint::AlgorithmRuns algo;
       algo.name = cell.algorithm;
       algo.run_walls = cell.run_walls;
-      if (run_scalar) algo.scalar_run_walls = scalar_result.cells[c].run_walls;
+      if (run_oracle) algo.scalar_run_walls = oracle_result.cells[c].run_walls;
       algo.success_rate = cell.overall.success_rate;
       point.algorithms.push_back(std::move(algo));
     }
@@ -453,7 +451,7 @@ std::vector<ScalePoint> run_scaling_bench() {
       if (!algo.scalar_run_walls.empty()) {
         double scalar_sum = 0.0;
         for (const double w : algo.scalar_run_walls) scalar_sum += w;
-        std::cout << " (scalar "
+        std::cout << " (reference "
                   << scalar_sum /
                          static_cast<double>(algo.scalar_run_walls.size())
                   << "s/run)";
@@ -465,10 +463,9 @@ std::vector<ScalePoint> run_scaling_bench() {
   return points;
 }
 
-// --- Event-timeline comparison: dense step-by-step replay vs the sparse
-// --- active-step timeline, per-run wall seconds on the large sparse
-// --- tiers. The shared ScenarioContext means both modes replay the
-// --- identical dataset + graph, built once.
+// --- Event-timeline series: sparse active-step replay, per-run wall
+// --- seconds on the large sparse tiers, beside each tier's total and
+// --- active step counts.
 
 struct TimelinePoint {
   std::string scenario;
@@ -477,7 +474,6 @@ struct TimelinePoint {
   std::size_t active_steps = 0;
   struct AlgorithmRuns {
     std::string name;
-    std::vector<double> dense_run_walls;   ///< per-run wall times, run order.
     std::vector<double> sparse_run_walls;  ///< per-run wall times, run order.
   };
   std::vector<AlgorithmRuns> algorithms;
@@ -497,7 +493,7 @@ std::vector<TimelinePoint> run_event_timeline_bench() {
   if (names.empty()) return points;
 
   const std::size_t runs = scaling_runs();
-  std::cout << "\nevent-timeline comparison (dense vs sparse replay): "
+  std::cout << "\nevent-timeline series (sparse replay): "
             << "{epidemic, FRESH} x " << runs << " runs per tier\n";
   for (const auto& name : names) {
     psn::engine::Scenario scenario;
@@ -508,7 +504,6 @@ std::vector<TimelinePoint> run_event_timeline_bench() {
                 << '\n';
       continue;
     }
-    // Hold the context so both replay modes share one dataset + graph.
     const auto context =
         psn::engine::ScenarioContextCache::instance().acquire(scenario);
 
@@ -527,25 +522,19 @@ std::vector<TimelinePoint> run_event_timeline_bench() {
 
     psn::engine::SweepOptions options;
     options.keep_delays = false;
-    options.replay = psn::forward::ReplayMode::kDense;
-    const auto dense = psn::engine::run_sweep(plan, options);
-    options.replay = psn::forward::ReplayMode::kSparse;
     const auto sparse = psn::engine::run_sweep(plan, options);
 
     std::cout << "  " << name << ": steps=" << point.total_steps
               << " active=" << point.active_steps;
-    for (std::size_t c = 0; c < dense.cells.size(); ++c) {
+    for (const auto& cell : sparse.cells) {
       TimelinePoint::AlgorithmRuns algo;
-      algo.name = dense.cells[c].algorithm;
-      algo.dense_run_walls = dense.cells[c].run_walls;
-      algo.sparse_run_walls = sparse.cells[c].run_walls;
-      double dense_sum = 0.0;
-      for (const double w : algo.dense_run_walls) dense_sum += w;
+      algo.name = cell.algorithm;
+      algo.sparse_run_walls = cell.run_walls;
       double sparse_sum = 0.0;
       for (const double w : algo.sparse_run_walls) sparse_sum += w;
-      const double r = static_cast<double>(runs);
-      std::cout << "  " << algo.name << " dense=" << dense_sum / r
-                << "s/run sparse=" << sparse_sum / r << "s/run";
+      std::cout << "  " << algo.name
+                << " sparse=" << sparse_sum / static_cast<double>(runs)
+                << "s/run";
       point.algorithms.push_back(std::move(algo));
     }
     std::cout << '\n';
@@ -603,7 +592,6 @@ std::vector<PathPoint> run_path_explosion_bench() {
                 << '\n';
       continue;
     }
-    // Hold the context so both replay modes share one dataset + graph.
     const auto context =
         psn::engine::ScenarioContextCache::instance().acquire(scenario);
 
@@ -1099,11 +1087,8 @@ void write_bench_json(const std::string& json_path,
         << ", \"algorithms\": [";
     for (std::size_t a = 0; a < p.algorithms.size(); ++a) {
       const auto& algo = p.algorithms[a];
-      out << "{\"name\": \"" << algo.name << "\", \"dense_run_wall_seconds\": [";
-      for (std::size_t r = 0; r < algo.dense_run_walls.size(); ++r)
-        out << algo.dense_run_walls[r]
-            << (r + 1 < algo.dense_run_walls.size() ? ", " : "");
-      out << "], \"sparse_run_wall_seconds\": [";
+      out << "{\"name\": \"" << algo.name
+          << "\", \"sparse_run_wall_seconds\": [";
       for (std::size_t r = 0; r < algo.sparse_run_walls.size(); ++r)
         out << algo.sparse_run_walls[r]
             << (r + 1 < algo.sparse_run_walls.size() ? ", " : "");

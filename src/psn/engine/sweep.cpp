@@ -12,6 +12,7 @@
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm_registry.hpp"
+#include "psn/forward/reference.hpp"
 #include "psn/forward/simulator.hpp"
 #include "psn/graph/space_time_graph.hpp"
 
@@ -94,7 +95,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // adoption path below still calls get_or_build, so correctness never
   // depends on this wave (it is purely a scheduling optimization).
   std::vector<std::pair<std::string, std::string>> snapshot_jobs;  // key, algo
-  if (options.observation == ObservationMode::kShared) {
+  if (!options.reference) {
     for (const std::string& name : plan.algorithms) {
       const std::string key =
           forward::make_algorithm(name)->shared_snapshot_key();
@@ -164,7 +165,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         const auto algorithm =
             forward::make_algorithm(plan.algorithms[spec.algorithm]);
         const ScenarioContext& context = *contexts[spec.scenario];
-        if (options.observation == ObservationMode::kShared) {
+        if (!options.reference) {
           const std::string key = algorithm->shared_snapshot_key();
           if (!key.empty()) {
             // Normally a hit on the phase-1.5 prebuild; builds here only
@@ -185,16 +186,15 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         request.messages = &record.run.messages;
         request.traffic = plan.config.traffic;
         request.seed = spec.sim_seed;
-        request.replay = options.replay;
-        request.flood_kernel = options.flood_kernel;
-        request.contact_scan = options.contact_scan;
         if (options.intra_run_parallel) request.parallel = &pool_executor;
         // One workspace per worker thread, reused across every run the
         // thread executes: the sweep's steady state simulates without
         // heap allocation. Workspaces never influence results (asserted
         // by forward_test's workspace-reuse equivalence).
         thread_local forward::SimulatorWorkspace workspace;
-        record.run.result = forward::simulate(request, workspace);
+        record.run.result = options.reference
+                                ? forward::simulate_reference(request)
+                                : forward::simulate(request, workspace);
 
         record.wall_seconds = seconds_since(run_start);
         store.put(slot, std::move(record));

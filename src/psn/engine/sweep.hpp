@@ -59,20 +59,6 @@ struct SweepResult {
   }
 };
 
-/// Where algorithms get their trace-derived observation state.
-enum class ObservationMode {
-  /// Algorithms that publish a shared_snapshot_key() adopt the
-  /// scenario's shared observation snapshot (built once per scenario,
-  /// cached on its ScenarioContext, counted against the context-cache
-  /// budget). Bit-identical to kPerRun per algorithm; adopted runs also
-  /// qualify for the simulator's holder-incident fast path.
-  kShared,
-  /// Every run rebuilds its observation tables online, replaying each
-  /// contact through observe_contact — the permanent oracle the
-  /// equivalence tests pin kShared against.
-  kPerRun,
-};
-
 struct SweepOptions {
   /// Worker threads; 0 means one per hardware thread. Ignored when
   /// `pool` is set.
@@ -88,27 +74,18 @@ struct SweepOptions {
   /// Retain pooled delay vectors in the cells (Fig. 10 style drivers need
   /// them; large sweeps can switch them off to bound memory).
   bool keep_delays = true;
-  /// Simulator step sequence. kSparse (default) replays only the graph's
-  /// event timeline; kDense replays every step — the modes are
-  /// bit-identical, and kDense exists for the equivalence harness and the
-  /// perf_microbench dense-vs-sparse comparison.
-  forward::ReplayMode replay = forward::ReplayMode::kSparse;
-  /// Epidemic-closure kernel handed to every run (bit-identical options;
-  /// kScalar exists for the equivalence harness and the scalar-vs-word
-  /// columns of the node-scaling bench).
-  forward::FloodKernel flood_kernel = forward::FloodKernel::kWordParallel;
-  /// Simulator contact-scan mode handed to every run. kHolderIncident
-  /// (default) lets eligible non-flood runs visit only holder-incident
-  /// contacts; kFull is the scalar full-replay oracle. Bit-identical
-  /// (simulator.hpp).
-  forward::ContactScan contact_scan = forward::ContactScan::kHolderIncident;
-  /// Observation state sourcing (see ObservationMode). kShared default.
-  ObservationMode observation = ObservationMode::kShared;
+  /// Run every run through forward::simulate_reference() instead of the
+  /// fast path, with per-run observation state (no shared snapshot is
+  /// built or adopted). Results are bit-identical either way; the
+  /// reference exists for the equivalence tests and the oracle legs of
+  /// perf_microbench's node-scaling series.
+  bool reference = false;
   /// Fan each run's per-step flood closures out across the sweep pool in
   /// addition to the run-level parallelism. Off by default: with more runs
   /// than workers the run-level fan-out already saturates the pool, and
   /// intra-run sharding only helps when a handful of huge-population runs
-  /// leave workers idle. Results are bit-identical either way.
+  /// leave workers idle. Results are bit-identical either way. Ignored
+  /// under `reference`.
   bool intra_run_parallel = false;
 };
 

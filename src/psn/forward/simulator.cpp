@@ -5,610 +5,260 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <span>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "psn/util/rng.hpp"
 
 namespace psn::forward {
 
-SimulationResult simulate(const SimulationRequest& request) {
-  SimulatorWorkspace workspace;
-  return simulate(request, workspace);
-}
+namespace detail {
 
-SimulationResult simulate(const SimulationRequest& request,
-                          SimulatorWorkspace& workspace) {
+bool validate_request(const SimulationRequest& request) {
   if (request.algorithm == nullptr || request.graph == nullptr ||
       request.trace == nullptr || request.messages == nullptr)
     throw std::invalid_argument("simulate: null field in SimulationRequest");
-
-  ForwardingAlgorithm& algorithm = *request.algorithm;
-  const graph::SpaceTimeGraph& graph = *request.graph;
-  const std::vector<Message>& messages = *request.messages;
-  const TrafficConfig& traffic = request.traffic;
-
-  const NodeId n = graph.num_nodes();
+  const NodeId n = request.graph->num_nodes();
   bool has_ttl = false;
-  for (const Message& m : messages) {
+  for (const Message& m : *request.messages) {
     if (m.source >= n || m.destination >= n)
       throw std::invalid_argument("simulate: message endpoint out of range");
     if (m.source == m.destination)
       throw std::invalid_argument("simulate: source equals destination");
     if (m.size_bytes == 0)
       throw std::invalid_argument("simulate: message size must be >= 1 byte");
+    if (!std::isfinite(m.created))
+      throw std::invalid_argument("simulate: message created must be finite");
     if (std::isnan(m.ttl) || m.ttl < 0.0)
       throw std::invalid_argument("simulate: message ttl must be >= 0");
     if (m.ttl != kNoTtl) has_ttl = true;
   }
+  return has_ttl;
+}
 
-  algorithm.reset();
-  algorithm.prepare(graph, *request.trace);
+std::uint64_t edge_order_key(std::uint64_t seed, graph::Step s, NodeId a,
+                             NodeId b) noexcept {
+  std::uint64_t h =
+      seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(s) + 1)) ^
+      ((static_cast<std::uint64_t>(a) << 32) | b);
+  return util::splitmix64(h);
+}
 
-  util::Rng rng(request.seed);
-  detail::SimulatorState& ws = workspace.internal_state();
+}  // namespace detail
 
-  // Messages sorted by creation time for activation.
-  auto& order = ws.order;
-  order.resize(messages.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t lhs, std::uint32_t rhs) {
-              return messages[lhs].created < messages[rhs].created;
-            });
+namespace {
+
+using MessageState = detail::SimulatorState::MessageState;
+using SettleScratch = detail::SimulatorState::SettleScratch;
+using WorkEdge = detail::SimulatorState::WorkEdge;
+
+constexpr std::uint32_t kNotFound = std::numeric_limits<std::uint32_t>::max();
+
+std::uint16_t saturate_hops(std::uint32_t hops) {
+  return static_cast<std::uint16_t>(std::min<std::uint32_t>(hops, 0xFFFF));
+}
+
+bool work_less(const WorkEdge& l, const WorkEdge& r) {
+  if (l.key != r.key) return l.key < r.key;
+  if (l.a != r.a) return l.a < r.a;
+  return l.b < r.b;
+}
+
+/// Calls f(v) for every node whose bit is set in `bits`, word `w`.
+template <typename F>
+void for_each_bit(std::uint32_t w, std::uint64_t bits, F&& f) {
+  while (bits != 0) {
+    f(static_cast<NodeId>(w * 64 +
+                          static_cast<std::uint32_t>(std::countr_zero(bits))));
+    bits &= bits - 1;
+  }
+}
+
+/// One simulate() call over a workspace. The replay is four stages —
+/// the activation/expiry schedule, the flood closure, the holder-incident
+/// relay, and traffic accounting — sharing the per-run state below.
+struct SimulationRun {
+  const SimulationRequest& request;  ///< passed detail::validate_request().
+  detail::SimulatorState& ws;
+  bool has_ttl = false;  ///< what detail::validate_request() returned.
+  ForwardingAlgorithm& algorithm = *request.algorithm;
+  const graph::SpaceTimeGraph& graph = *request.graph;
+  const std::vector<Message>& messages = *request.messages;
+  const TrafficConfig& traffic = request.traffic;
+  NodeId n = graph.num_nodes();
+  bool capacity_limited = traffic.capacity_limited();
+  /// Unbounded replication under unconstrained traffic: the flood closure
+  /// replaces the relay. It tracks holder sets only, which is incompatible
+  /// with byte-accounted buffers and budgets, so constrained floods take
+  /// the relay, whose per-step work is bounded by buffer capacity. TTL
+  /// alone keeps the closure: expiry clears a message's holders before
+  /// the step's contacts are processed.
+  bool flooding = false;
+  std::uint32_t quota = 1;
+  bool quota_scheme = false;
+  bool observes = false;
+  /// Relay runs visit only steps where a current holder has a contact and
+  /// relay only holder-incident edges. Requires a non-flooding algorithm,
+  /// no online contact observation (observe_contact must see every trace
+  /// contact), and at least one relay pass (a zero-pass run counts every
+  /// edge-bearing step as truncated, visited or not).
+  bool holder_incident = false;
+  util::Rng rng{request.seed};
+  SimulationResult result{};
   std::size_t next_activation = 0;
-
-  // Finite-TTL messages sorted by expiry time: an advancing cursor over
-  // this list implements exact expiry without a priority queue. Ties
-  // break by id so dense and sparse replay expire in identical order.
-  auto& expiry_order = ws.expiry_order;
-  expiry_order.clear();
   std::size_t next_expiry = 0;
-  if (has_ttl) {
+  std::uint64_t holder_nodes = 0;  ///< nodes with holder_count > 0.
+
+  // The relay step in progress.
+  graph::Step step = 0;
+  bool edges_complete = true;
+  std::uint64_t member_stamp = 0;
+
+  SimulationResult run() {
+    algorithm.reset();
+    algorithm.prepare(graph, *request.trace);
+    quota = algorithm.initial_copies();
+    quota_scheme = quota > 1;
+    observes = algorithm.observes_contacts();
+    flooding = algorithm.replicates() && quota == 0 && traffic.unconstrained();
+    holder_incident = !flooding && !observes && request.max_relay_passes > 0;
+
+    schedule_messages();
+    reset_state();
+    if (holder_incident) {
+      replay_holder_contacts();
+    } else {
+      // Sparse event timeline: only steps carrying contact edges are
+      // visited. Messages created after the last contact never activate —
+      // nothing could happen to them anyway.
+      for (const graph::Step s : graph.active_steps()) process_step(s);
+    }
+    // Expiry sweep over the rest of the trace window: a TTL elapsing after
+    // the last contact still expires. TTLs outlasting the window leave the
+    // message undelivered-but-unexpired: still in flight when the trace
+    // ends.
+    if (has_ttl && graph.num_steps() > 0)
+      expire_until(graph.step_end(graph.num_steps() - 1));
+    return std::move(result);
+  }
+
+  // --- Stage 1: the activation/expiry schedule ---------------------------
+
+  /// Orders messages by (creation time, id) for activation and finite-TTL
+  /// messages by (expiry time, id) for expiry: an advancing cursor over
+  /// each list replaces a priority queue.
+  void schedule_messages() {
+    auto& order = ws.order;
+    order.resize(messages.size());
+    std::iota(order.begin(), order.end(), 0U);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t l, std::uint32_t r) {
+      return std::pair(messages[l].created, l) <
+             std::pair(messages[r].created, r);
+    });
+    auto& expiry_order = ws.expiry_order;
+    expiry_order.clear();
+    if (!has_ttl) return;
     for (std::uint32_t i = 0; i < messages.size(); ++i)
       if (messages[i].ttl != kNoTtl) expiry_order.push_back(i);
     std::sort(expiry_order.begin(), expiry_order.end(),
-              [&](std::uint32_t lhs, std::uint32_t rhs) {
-                const Seconds tl = messages[lhs].expiry_time();
-                const Seconds tr = messages[rhs].expiry_time();
-                if (tl != tr) return tl < tr;
-                return lhs < rhs;
+              [&](std::uint32_t l, std::uint32_t r) {
+                return std::pair(messages[l].expiry_time(), l) <
+                       std::pair(messages[r].expiry_time(), r);
               });
   }
 
-  SimulationResult result;
-  result.outcomes.assign(messages.size(), {});
-
-  // Workspace state is grown, never shrunk: slots beyond this run's needs
-  // keep their capacity for a later, larger run. Only the flags are reset
-  // here — holder sets / hop arrays are (re)initialized at activation.
-  auto& state = ws.states;
-  if (state.size() < messages.size()) state.resize(messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    state[i].delivered = false;
-    state[i].active = false;
-    state[i].expired = false;
-    state[i].dropped = false;
-  }
-
-  const bool capacity_limited = traffic.capacity_limited();
-  const bool budget_limited = traffic.budget_limited();
-
-  // The flooding fast path tracks only holder sets, which is incompatible
-  // with byte-accounted buffers and budgets — constrained runs of a
-  // flooding algorithm take the generic path, whose per-step work is
-  // bounded by buffer capacity. TTL alone keeps the fast path: expiry
-  // clears a message's holders before the step's contacts are processed.
-  const bool flooding = algorithm.replicates() &&
-                        algorithm.initial_copies() == 0 &&
-                        traffic.unconstrained();
-  auto& at_node = ws.at_node;
-  if (at_node.size() < n) at_node.resize(n);
-  for (NodeId v = 0; v < n; ++v) at_node[v].clear();
-  auto& active_msgs = ws.active_msgs;  // ids of active, undelivered.
-  active_msgs.clear();
-
-  auto& store_bytes = ws.store_bytes;
-  if (capacity_limited) {
-    if (store_bytes.size() < n) store_bytes.resize(n);
-    std::fill_n(store_bytes.begin(), n, std::uint64_t{0});
-  }
-
-  const std::uint32_t quota = algorithm.initial_copies();
-  const bool quota_scheme = quota > 1;
-  const bool observes = algorithm.observes_contacts();
-
-  // Holder-incident fast path: only steps where a current holder has a
-  // contact are visited, and only holder-incident edges enter the relay
-  // worklist. Requires sparse replay (the dense oracle visits everything
-  // by definition), a non-flooding algorithm (floods have their own
-  // kernels), no online contact observation (observe_contact must see
-  // every trace contact), and at least one relay pass (a zero-pass run
-  // counts every edge-bearing step as truncated, visited or not).
-  const bool fast_scan =
-      request.contact_scan == ContactScan::kHolderIncident &&
-      request.replay == ReplayMode::kSparse && !flooding && !observes &&
-      request.max_relay_passes > 0;
-
-  auto& holder_count = ws.holder_count;
-  std::uint64_t holder_nodes = 0;  // nodes with holder_count > 0.
-  auto& heap = ws.heap;
-  heap.clear();
-  if (fast_scan) {
-    if (holder_count.size() < n) holder_count.resize(n);
-    std::fill_n(holder_count.begin(), n, std::uint32_t{0});
-    if (ws.node_stamp.size() < n) ws.node_stamp.resize(n, 0);
-  }
-
-  // Schedules node v's next contact after step s (if any) as a visit.
-  // Entries are lazily discarded when v no longer holds anything by the
-  // time they surface; duplicates are harmless (visits coalesce).
-  const auto arm_node = [&](NodeId v, graph::Step s) {
-    const auto steps = graph.contact_steps(v);
-    const auto it = std::upper_bound(steps.begin(), steps.end(), s);
-    if (it == steps.end()) return;
-    heap.push_back((static_cast<std::uint64_t>(*it) << 32) | v);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  };
-
-  const auto deliver = [&](std::uint32_t id, graph::Step s,
-                           std::uint16_t hops) {
-    auto& st = state[id];
-    st.delivered = true;
-    auto& outcome = result.outcomes[id];
-    outcome.delivered = true;
-    outcome.delay = graph.step_end(s) - messages[id].created;
-    outcome.hops = hops;
-    ++result.transmissions;  // the final hop to the destination.
-    // A delivered message is inert: every remaining copy stops counting
-    // against its holder's buffer (the copies themselves are removed
-    // lazily from the per-node lists).
-    if (capacity_limited) {
-      const std::uint64_t sz = messages[id].size_bytes;
-      st.holders.for_each([&](std::uint32_t v) { store_bytes[v] -= sz; });
+  /// Workspace state is grown, never shrunk: slots beyond this run's needs
+  /// keep their capacity for a later, larger run. Only flags and per-node
+  /// tallies are reset here — holder sets / hop arrays are (re)initialized
+  /// at activation.
+  void reset_state() {
+    result.outcomes.assign(messages.size(), {});
+    auto& state = ws.states;
+    if (state.size() < messages.size()) state.resize(messages.size());
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      state[i].delivered = false;
+      state[i].active = false;
+      state[i].expired = false;
+      state[i].dropped = false;
     }
-    if (fast_scan)
-      st.holders.for_each([&](std::uint32_t v) {
-        if (--holder_count[v] == 0) --holder_nodes;
-      });
-  };
+    ws.active_msgs.clear();
+    if (!flooding) {
+      if (ws.at_node.size() < n) ws.at_node.resize(n);
+      for (NodeId v = 0; v < n; ++v) ws.at_node[v].clear();
+    }
+    if (capacity_limited) {
+      if (ws.store_bytes.size() < n) ws.store_bytes.resize(n);
+      std::fill_n(ws.store_bytes.begin(), n, std::uint64_t{0});
+    }
+    ws.heap.clear();
+    if (holder_incident) {
+      if (ws.holder_count.size() < n) ws.holder_count.resize(n);
+      std::fill_n(ws.holder_count.begin(), n, std::uint32_t{0});
+      if (ws.node_stamp.size() < n) ws.node_stamp.resize(n, 0);
+    }
+  }
 
-  // Expires every finite-TTL message whose expiry time has passed by
-  // `threshold`. Called with the step start before each processed step, so
-  // a TTL elapsing inside a skipped sparse-timeline gap takes effect
-  // before the next active step's first contact — exactly when the dense
-  // replay (which visits the gap as no-op steps) would apply it.
-  const auto expire_until = [&](Seconds threshold) {
-    while (next_expiry < expiry_order.size()) {
-      const std::uint32_t id = expiry_order[next_expiry];
+  /// One visited step: expiry, activation, contact observation, then the
+  /// flood closure or the relay.
+  void process_step(graph::Step s) {
+    // Expiry first: a message is live during step s only if its TTL
+    // outlasts the step's start.
+    if (has_ttl) expire_until(static_cast<Seconds>(s) * graph.delta());
+    activate_through(s);
+
+    // History observation, in deterministic trace order, consuming the
+    // graph's precomputed new-contact flags. Skipped outright for
+    // algorithms that declare they keep no contact history.
+    if (observes) {
+      const auto step_edges = graph.edges(s);
+      const auto new_flags = graph.new_edge_flags(s);
+      for (std::size_t i = 0; i < step_edges.size(); ++i)
+        algorithm.observe_contact(step_edges[i].a, step_edges[i].b, s,
+                                  new_flags[i] != 0);
+    }
+
+    if (flooding) {
+      flood_step(s);
+    } else {
+      relay_step(s);
+    }
+  }
+
+  /// Expires every finite-TTL message whose expiry time has passed by
+  /// `threshold`. Called with the step start before each processed step,
+  /// so a TTL elapsing inside a skipped gap takes effect before the next
+  /// visited step's first contact.
+  void expire_until(Seconds threshold) {
+    while (next_expiry < ws.expiry_order.size()) {
+      const std::uint32_t id = ws.expiry_order[next_expiry];
       if (messages[id].expiry_time() > threshold) break;
       ++next_expiry;
-      auto& st = state[id];
+      auto& st = ws.states[id];
       if (st.delivered || st.expired || st.dropped) continue;
       st.expired = true;
       result.outcomes[id].expired = true;
       ++result.expirations;
       if (st.active) {
-        if (capacity_limited) {
-          const std::uint64_t sz = messages[id].size_bytes;
-          st.holders.for_each([&](std::uint32_t v) { store_bytes[v] -= sz; });
-        }
-        if (fast_scan)
-          st.holders.for_each([&](std::uint32_t v) {
-            if (--holder_count[v] == 0) --holder_nodes;
-          });
+        release_copies(id);
         // Cleared holders make every remaining per-node list entry stale;
         // the relay and flood scans drop them lazily.
         st.holders.clear();
       }
     }
-  };
-
-  // Evicts resident copies at `node` until `incoming` more bytes fit,
-  // per the configured policy. Only called when incoming <= capacity, so
-  // it always succeeds: the per-node list holds every byte-accounted copy,
-  // and evicting all of them frees the whole buffer. Evicting the last
-  // copy of a message drops the message for good.
-  const auto make_room = [&](NodeId node, std::uint64_t incoming) {
-    const std::uint64_t capacity = traffic.buffer_capacity_bytes;
-    if (store_bytes[node] + incoming <= capacity) return;
-    auto& list = at_node[node];
-    // Compact away stale entries (delivered / expired / moved away) so
-    // the victim scan sees exactly the live residents.
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const auto& st = state[list[i]];
-      if (!st.delivered && !st.expired && st.holders.test(node))
-        list[k++] = list[i];
-    }
-    list.resize(k);
-    while (store_bytes[node] + incoming > capacity) {
-      std::size_t victim = 0;
-      switch (traffic.eviction) {
-        case EvictionPolicy::kDropOldest:
-          for (std::size_t i = 1; i < list.size(); ++i) {
-            const Message& cand = messages[list[i]];
-            const Message& best = messages[list[victim]];
-            if (cand.created < best.created ||
-                (cand.created == best.created && cand.id < best.id))
-              victim = i;
-          }
-          break;
-        case EvictionPolicy::kDropLargestHop:
-          for (std::size_t i = 1; i < list.size(); ++i) {
-            const auto ch = state[list[i]].hops[node];
-            const auto bh = state[list[victim]].hops[node];
-            if (ch > bh) {
-              victim = i;
-            } else if (ch == bh) {
-              const Message& cand = messages[list[i]];
-              const Message& best = messages[list[victim]];
-              if (cand.created < best.created ||
-                  (cand.created == best.created && cand.id < best.id))
-                victim = i;
-            }
-          }
-          break;
-        case EvictionPolicy::kRandom:
-          victim = rng.uniform_index(list.size());
-          break;
-      }
-      const std::uint32_t vid = list[victim];
-      auto& vst = state[vid];
-      vst.holders.reset(node);
-      store_bytes[node] -= messages[vid].size_bytes;
-      ++result.evictions;
-      if (fast_scan && --holder_count[node] == 0) --holder_nodes;
-      // Order-preserving removal: the live order of every per-node list
-      // is the canonical insertion order in both scan modes, which keeps
-      // victim draws and algorithm callbacks subset-invariant.
-      list.erase(list.begin() + static_cast<std::ptrdiff_t>(victim));
-      if (vst.holders.count() == 0) {
-        vst.dropped = true;
-        result.outcomes[vid].dropped = true;
-        ++result.drops;
-      }
-    }
-  };
-
-  const bool word_kernel = request.flood_kernel == FloodKernel::kWordParallel;
-
-  // Scratch for the scalar oracle kernel's hop-level computation: a lazy
-  // Dijkstra over one contact component with unit-weight edges and
-  // holder-seeded start levels. `mark` is generation-stamped so a BFS
-  // costs O(component), not O(n); the generation survives workspace reuse
-  // (monotone, never reset), so a warm workspace needs no re-zeroing.
-  auto& level = ws.level;
-  auto& mark = ws.mark;
-  if (flooding && !word_kernel && level.size() < n) {
-    level.resize(n, 0);
-    mark.resize(n, 0);
   }
-  auto& buckets = ws.buckets;
-  // Settles hop levels for the component `mask` at the step whose
-  // components (and step-local adjacency) ws.components holds, seeded by the
-  // message's holders at their current hop counts. If `stop_at` is inside
-  // the component, returns as soon as its level is known; otherwise
-  // settles the whole component (level[] is valid where mark[] ==
-  // mark_gen). Hop counts are minimal over all holder-to-node chains
-  // within the step, matching the zero-weight closure of §4.1. A bucket
-  // queue (Dial's algorithm over unit-weight edges) replaces the earlier
-  // binary heap: minimal levels are unique, so the values — the only
-  // observable output — are unchanged while the log factor disappears.
-  const auto settle_component =
-      [&](const util::NodeSet& mask,
-          const detail::SimulatorState::MessageState& st, NodeId stop_at,
-          bool has_stop) -> std::uint32_t {
-    const std::uint64_t gen = ++ws.mark_gen;
-    std::uint32_t top = 0;  // highest bucket index in use.
-    const std::uint32_t words = std::min(mask.num_words(),
-                                         st.holders.num_words());
-    for (std::uint32_t w = 0; w < words; ++w) {
-      std::uint64_t bits = mask.word(w) & st.holders.word(w);
-      while (bits != 0) {
-        const auto v = static_cast<NodeId>(
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        const std::uint32_t lvl = st.hops[v];
-        if (lvl >= buckets.size()) buckets.resize(lvl + 1);
-        buckets[lvl].push_back(v);
-        top = std::max(top, lvl);
-      }
-    }
-    const auto drain = [&](std::uint32_t from) {
-      for (std::uint32_t l = from; l <= top; ++l) buckets[l].clear();
-    };
-    for (std::uint32_t lvl = 0; lvl <= top; ++lvl) {
-      // Indexed access throughout: pushing into buckets[lvl + 1] may
-      // resize the outer vector, invalidating any held reference.
-      for (std::size_t i = 0; i < buckets[lvl].size(); ++i) {
-        const NodeId v = buckets[lvl][i];
-        if (mark[v] == gen) continue;  // already settled at <= lvl.
-        mark[v] = gen;
-        level[v] = lvl;
-        if (has_stop && v == stop_at) {
-          drain(lvl);
-          return lvl;
-        }
-        // ws.components holds step s's adjacency: flood_step() runs
-        // step_components_at(s) before any settle. O(1) per lookup where
-        // graph.neighbors(s, v) pays a timeline binary search.
-        for (const NodeId w : ws.components.step_neighbors(v)) {
-          if (mark[w] != gen) {
-            if (lvl + 1 >= buckets.size()) buckets.resize(lvl + 2);
-            buckets[lvl + 1].push_back(w);
-            top = std::max(top, lvl + 1);
-          }
-        }
-      }
-      buckets[lvl].clear();
-    }
-    return 0;
-  };
 
-  // Word-parallel hop settle: a level-synchronous BFS over one component
-  // with frontier masks, seeded by the message's holders at their current
-  // hop counts (bucketed relative to the minimum seed level, so the
-  // frontier array stays short however large absolute hop counts grow).
-  // Per level the fresh frontier is `seeded & ~visited`, computed
-  // wordwise over the component's nonzero words only. Levels settled are
-  // minimal over all holder-to-node chains within the step — the same
-  // values the scalar kernel's Dial queue computes, since both are
-  // multi-source unit-weight shortest paths. If `stop_at` is given,
-  // returns its (absolute) level as soon as it settles; otherwise settles
-  // the whole component, leaving sc.level[] valid for every member. All
-  // scratch is cleared sparsely (component words only) before returning.
-  const auto settle_word =
-      [&](const graph::StepComponent& comp,
-          const detail::SimulatorState::MessageState& st,
-          detail::SimulatorState::SettleScratch& sc, NodeId stop_at,
-          bool has_stop) -> std::uint32_t {
-    if (sc.level.size() < n) sc.level.resize(n, 0);
-    sc.visited.ensure_capacity(n);
-
-    // Seed pass 1: the minimum holder level in this component.
-    std::uint32_t base = std::numeric_limits<std::uint32_t>::max();
-    for (const std::uint32_t w : comp.words) {
-      std::uint64_t bits = comp.mask.word(w) & st.holders.word(w);
-      while (bits != 0) {
-        const auto v = static_cast<NodeId>(
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        base = std::min(base, static_cast<std::uint32_t>(st.hops[v]));
-      }
-    }
-    // Seed pass 2: bucket holders at their level relative to `base`.
-    std::uint32_t top = 0;
-    const auto frontier_at = [&](std::uint32_t lvl) -> util::NodeSet& {
-      while (lvl >= sc.frontier.size()) {
-        sc.frontier.emplace_back();
-        sc.frontier.back().ensure_capacity(n);
-      }
-      return sc.frontier[lvl];
-    };
-    for (const std::uint32_t w : comp.words) {
-      std::uint64_t bits = comp.mask.word(w) & st.holders.word(w);
-      while (bits != 0) {
-        const auto v = static_cast<NodeId>(
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        const std::uint32_t rel = st.hops[v] - base;
-        frontier_at(rel).set(v);
-        top = std::max(top, rel);
-      }
-    }
-
-    std::uint32_t found = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t lvl = 0; lvl <= top; ++lvl) {
-      // Materialize level lvl+1 first: growing the frontier vector later
-      // would invalidate the references taken below.
-      frontier_at(lvl + 1);
-      util::NodeSet& f = sc.frontier[lvl];
-      // Keep only nodes not already settled at a smaller level.
-      bool any = false;
-      for (const std::uint32_t w : comp.words) {
-        const std::uint64_t fresh = f.word(w) & ~sc.visited.word(w);
-        f.set_word(w, fresh);
-        if (fresh != 0) any = true;
-      }
-      if (!any) continue;
-      for (const std::uint32_t w : comp.words) {
-        std::uint64_t fresh = f.word(w);
-        sc.visited.or_word(w, fresh);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          sc.level[v] = base + lvl;
-          if (has_stop && v == stop_at) found = base + lvl;
-        }
-      }
-      if (found != std::numeric_limits<std::uint32_t>::max()) break;
-      // Expand the settled frontier one hop; next level's `& ~visited`
-      // filters re-reached nodes.
-      util::NodeSet& nf = sc.frontier[lvl + 1];
-      bool expanded = false;
-      for (const std::uint32_t w : comp.words) {
-        std::uint64_t fresh = f.word(w);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          // Same contract as the scalar kernel: ws.components carries
-          // step s's adjacency, read-only and shared across shards.
-          for (const NodeId nb : ws.components.step_neighbors(v)) {
-            nf.set(nb);
-            expanded = true;
-          }
-        }
-      }
-      if (expanded) top = std::max(top, lvl + 1);
-    }
-
-    // Sparse teardown: only the component's words were ever touched.
-    for (std::uint32_t lvl = 0; lvl <= top && lvl < sc.frontier.size();
-         ++lvl)
-      for (const std::uint32_t w : comp.words) sc.frontier[lvl].set_word(w, 0);
-    for (const std::uint32_t w : comp.words) sc.visited.set_word(w, 0);
-    return found != std::numeric_limits<std::uint32_t>::max() ? found : 0;
-  };
-
-  // Floods one message through the step's components, word-parallel.
-  // Touches only the message's own state and outcome slot plus the
-  // caller-provided scratch and transmission counter, so disjoint
-  // messages flood concurrently with bit-identical results.
-  const auto flood_message_word = [&](std::uint32_t id, graph::Step s,
-                                      std::size_t num_comps,
-                                      detail::SimulatorState::SettleScratch&
-                                          sc,
-                                      std::size_t& tx) {
-    auto& st = state[id];
-    if (st.delivered || st.expired) return;
-    const NodeId dest = messages[id].destination;
-    for (std::size_t ci = 0; ci < num_comps; ++ci) {
-      const graph::StepComponent& comp = ws.components.pool[ci];
-      unsigned held = 0;
-      for (const std::uint32_t w : comp.words)
-        held += static_cast<unsigned>(
-            std::popcount(comp.mask.word(w) & st.holders.word(w)));
-      if (held == 0) continue;
-      if (comp.mask.test(dest)) {
-        // Copies made inside the component before reaching the
-        // destination are part of the flood's cost too; +1 below is the
-        // final hop to the destination.
-        tx += comp.size - held - 1;
-        const std::uint32_t hops = settle_word(comp, st, sc, dest, true);
-        st.delivered = true;
-        auto& outcome = result.outcomes[id];
-        outcome.delivered = true;
-        outcome.delay = graph.step_end(s) - messages[id].created;
-        outcome.hops = static_cast<std::uint16_t>(
-            std::min<std::uint32_t>(hops, 0xFFFF));
-        tx += 1;
-        break;
-      }
-      // Fully flooded components have nothing left to spread; skipping
-      // them also skips the (comparatively expensive) hop settle.
-      if (held == comp.size) continue;
-      settle_word(comp, st, sc, 0, false);
-      for (const std::uint32_t w : comp.words) {
-        const std::uint64_t mask_word = comp.mask.word(w);
-        std::uint64_t fresh = mask_word & ~st.holders.word(w);
-        while (fresh != 0) {
-          const auto v = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(fresh)));
-          fresh &= fresh - 1;
-          st.hops[v] = static_cast<std::uint16_t>(
-              std::min<std::uint32_t>(sc.level[v], 0xFFFF));
-        }
-        st.holders.or_word(w, mask_word);
-      }
-      tx += comp.size - held;
-    }
-  };
-
-  // One flooding step: spread every live flood through the step's contact
-  // components and deliver where the destination is reached. Components
-  // (masks + nonzero-word lists, canonical order) are extracted once and
-  // shared by both kernels and every message.
-  const auto flood_step = [&](graph::Step s) {
-    const std::size_t num_comps =
-        graph::step_components_at(graph, s, ws.components);
-    if (word_kernel) {
-      // Live worklist for this step; per-message flood state is disjoint,
-      // so the list fans out across the executor when one is provided.
-      auto& live = ws.live;
-      live.clear();
-      for (const std::uint32_t id : active_msgs)
-        if (!state[id].delivered && !state[id].expired) live.push_back(id);
-      if (live.empty()) return;
-      // Shard geometry depends on the worklist alone (not the executor);
-      // per-message results are independent either way.
-      const std::size_t shards =
-          request.parallel != nullptr && live.size() > 1
-              ? std::clamp<std::size_t>(live.size() / 4, 1, 32)
-              : 1;
-      if (ws.settle.size() < shards) ws.settle.resize(shards);
-      if (shards == 1) {
-        std::size_t tx = 0;
-        for (const std::uint32_t id : live)
-          flood_message_word(id, s, num_comps, ws.settle[0], tx);
-        result.transmissions += tx;
-      } else {
-        ws.shard_tx.assign(shards, 0);
-        (*request.parallel)(shards, [&](std::size_t shard) {
-          std::size_t tx = 0;
-          const std::size_t lo = live.size() * shard / shards;
-          const std::size_t hi = live.size() * (shard + 1) / shards;
-          for (std::size_t i = lo; i < hi; ++i)
-            flood_message_word(live[i], s, num_comps, ws.settle[shard], tx);
-          ws.shard_tx[shard] = tx;
-        });
-        // Fixed-order reduction (sums are order-independent anyway).
-        for (const std::size_t tx : ws.shard_tx) result.transmissions += tx;
-      }
-      return;
-    }
-    // Scalar oracle kernel: the pre-word-kernel per-node implementation,
-    // full-width mask scans and the Dial hop settle, kept verbatim.
-    for (const std::uint32_t id : active_msgs) {
-      auto& st = state[id];
-      if (st.delivered || st.expired) continue;
-      const NodeId dest = messages[id].destination;
-      for (std::size_t ci = 0; ci < num_comps; ++ci) {
-        const auto& mask = ws.components.pool[ci].mask;
-        const unsigned held = st.holders.intersect_count(mask);
-        if (held == 0) continue;
-        if (mask.test(dest)) {
-          // Copies made inside the component before reaching the
-          // destination are part of the flood's cost too.
-          result.transmissions += mask.count() - held - 1;
-          const std::uint32_t hops = settle_component(mask, st, dest, true);
-          deliver(id, s, static_cast<std::uint16_t>(
-                             std::min<std::uint32_t>(hops, 0xFFFF)));
-          break;
-        }
-        const unsigned total = mask.count();
-        // Fully flooded components have nothing left to spread; skipping
-        // them also skips the (comparatively expensive) hop settle.
-        if (held == total) continue;
-        settle_component(mask, st, 0, false);
-        mask.for_each([&](std::uint32_t v) {
-          if (!st.holders.test(v))
-            st.hops[v] = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(level[v], 0xFFFF));
-        });
-        st.holders |= mask;
-        result.transmissions += total - held;
-      }
-    }
-  };
-
-  // One step of the replay. Identical work in both modes; the mode only
-  // selects which step ids this is invoked for.
-  const auto process_step = [&](graph::Step s) {
-    const auto step_edges = graph.edges(s);
-    // A contact-free step is a complete no-op — expiry, activation, and
-    // compaction all wait for the next step with edges. Holder state is
-    // only ever read where contacts exist, so deferring is unobservable,
-    // and it keeps the dense replay (which visits gap steps) bit-identical
-    // to the sparse timeline (which skips them) by construction.
-    if (step_edges.empty()) return;
-
-    // Expiry first: a message is live during step s only if its TTL
-    // outlasts the step's start.
-    if (has_ttl) expire_until(static_cast<Seconds>(s) * graph.delta());
-
-    // Activate messages created at or before this step. A message created
-    // inside a contact-free gap activates at the first step with edges
-    // after its creation. The source buffer must admit the message:
-    // under bounded buffers activation can evict residents, and a message
-    // larger than the whole buffer is stillborn.
-    while (next_activation < order.size()) {
-      const std::uint32_t id = order[next_activation];
+  /// Activates messages created at or before step s. A message created
+  /// inside a contact-free gap activates at the first visited step after
+  /// its creation. The source buffer must admit the message: under
+  /// bounded buffers activation can evict residents, and a message larger
+  /// than the whole buffer is stillborn.
+  void activate_through(graph::Step s) {
+    while (next_activation < ws.order.size()) {
+      const std::uint32_t id = ws.order[next_activation];
       if (graph.step_of(messages[id].created) > s) break;
       ++next_activation;
-      auto& st = state[id];
+      auto& st = ws.states[id];
       if (st.expired) continue;  // TTL elapsed before the first contact.
       const Message& m = messages[id];
       if (capacity_limited) {
@@ -620,295 +270,50 @@ SimulationResult simulate(const SimulationRequest& request,
           continue;
         }
         make_room(m.source, m.size_bytes);
-        store_bytes[m.source] += m.size_bytes;
+        ws.store_bytes[m.source] += m.size_bytes;
       }
       st.active = true;
       st.holders.clear();
-      // Pre-size flood holder sets so the word kernel's or_word() spreads
-      // never reallocate mid-flood (capacity is invisible to results).
-      if (flooding) st.holders.ensure_capacity(n);
-      st.holders.set(m.source);
       st.hops.assign(n, 0);
       if (quota_scheme) {
         st.copies.assign(n, 0);
         st.copies[m.source] = quota;
       }
-      if (!flooding) at_node[m.source].push_back(id);
-      active_msgs.push_back(id);
-      if (fast_scan) {
-        if (holder_count[m.source]++ == 0) ++holder_nodes;
+      if (flooding) {
+        // Pre-size flood holder sets so the closure's or_word() spreads
+        // never reallocate mid-flood (capacity is invisible to results).
+        st.holders.ensure_capacity(n);
+        ws.active_msgs.push_back(id);
+      } else {
+        ws.at_node[m.source].push_back(id);
+      }
+      st.holders.set(m.source);
+      if (holder_incident) {
+        holder_gained(m.source);
         // The source's contact at this very step (if any) is picked up by
-        // the worklist build below; future contacts need an armed visit.
+        // the worklist build; future contacts need an armed visit.
         arm_node(m.source, s);
       }
     }
+  }
 
-    // History observation, in deterministic trace order, consuming the
-    // graph's precomputed new-contact flags (a pure graph property —
-    // computing it per run was wasted work). Skipped outright for
-    // algorithms that declare they keep no contact history.
-    if (observes) {
-      const auto new_flags = graph.new_edge_flags(s);
-      for (std::size_t i = 0; i < step_edges.size(); ++i)
-        algorithm.observe_contact(step_edges[i].a, step_edges[i].b, s,
-                                  new_flags[i] != 0);
-    }
+  /// The first active step at or after the next pending activation — the
+  /// step the active-step replay would activate it at.
+  [[nodiscard]] graph::Step pending_activation_step() const {
+    if (next_activation >= ws.order.size()) return graph.num_steps();
+    return graph.next_active_step(
+        graph.step_of(messages[ws.order[next_activation]].created));
+  }
 
-    if (flooding) {
-      // Epidemic closure: every member of a contact component ends the step
-      // holding everything any member held; delivery happens if the
-      // destination is in the component. Hop levels come from the
-      // component settle so epidemic deliveries carry real hop counts
-      // (Fig. 14-style statistics) instead of the historical 0.
-      //
-      // With no live (activated, undelivered, unexpired) flood, nothing
-      // this step could change — skip the component BFS and the mask scan
-      // outright. The flooding path draws no randomness, so the skip is
-      // invisible.
-      bool live = false;
-      for (const std::uint32_t id : active_msgs) {
-        if (!state[id].delivered && !state[id].expired) {
-          live = true;
-          break;
-        }
-      }
-      if (live) flood_step(s);
-    } else {
-      // Generic path: relay across edges to a fixpoint so forwarding
-      // chains can cross several contacts within one step. Edge order is
-      // a stateless per-(seed, step) hash per edge instead of a shuffle:
-      // any subset of a step's edges sorts into the same relative order
-      // as inside the full list, which is what lets the holder-incident
-      // worklist replay the full scan's decisions bit-exactly.
-      auto& work = ws.work;
-      work.clear();
-      const std::uint64_t step_salt =
-          request.seed ^
-          (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(s) + 1));
-      const auto key_of = [&](NodeId a, NodeId b) {
-        std::uint64_t h =
-            step_salt ^ ((static_cast<std::uint64_t>(a) << 32) | b);
-        return util::splitmix64(h);
-      };
-      using WorkEdge = detail::SimulatorState::WorkEdge;
-      const auto work_less = [](const WorkEdge& l, const WorkEdge& r) {
-        if (l.key != r.key) return l.key < r.key;
-        if (l.a != r.a) return l.a < r.a;
-        return l.b < r.b;
-      };
-      // When most nodes hold something the filtered scan saves nothing —
-      // fall back to the complete edge list (same keys, same sort, so the
-      // step's decisions are unchanged either way).
-      const bool edges_complete =
-          !fast_scan || 4 * holder_nodes >= static_cast<std::uint64_t>(n);
-      const std::uint64_t member_stamp = ++ws.stamp_gen;
-      for (const graph::StepEdge& e : step_edges) {
-        const NodeId a = std::min(e.a, e.b);
-        const NodeId b = std::max(e.a, e.b);
-        if (!edges_complete) {
-          const bool ha = holder_count[a] > 0;
-          const bool hb = holder_count[b] > 0;
-          if (!ha && !hb) continue;
-          // Holder endpoints are stamped: every edge incident to a
-          // stamped node is in the worklist, which is the invariant the
-          // mid-pass expansion below relies on.
-          if (ha) ws.node_stamp[a] = member_stamp;
-          if (hb) ws.node_stamp[b] = member_stamp;
-        }
-        work.push_back({key_of(a, b), a, b, traffic.contact_budget_bytes});
-      }
-      std::sort(work.begin(), work.end(), work_less);
-
-      const auto relay = [&](NodeId x, NodeId y, std::size_t ei) -> bool {
-        bool changed = false;
-        auto& list = at_node[x];
-        std::size_t k = 0;  // order-preserving compaction write cursor.
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          const std::uint32_t id = list[i];
-          auto& st = state[id];
-          // Lazily drop stale entries (delivered, expired, evicted, or
-          // moved away).
-          if (st.delivered || st.expired || !st.holders.test(x)) continue;
-          const NodeId dest = messages[id].destination;
-          const std::uint64_t sz = messages[id].size_bytes;
-          if (y == dest) {
-            // The final hop consumes contact budget like any transfer;
-            // a blocked delivery stays queued for a later contact.
-            if (budget_limited && work[ei].budget < sz) {
-              ++result.budget_blocked;
-              list[k++] = id;
-              continue;
-            }
-            if (budget_limited) work[ei].budget -= sz;
-            deliver(id, s, static_cast<std::uint16_t>(st.hops[x] + 1));
-            changed = true;
-            continue;
-          }
-          if (!st.holders.test(y) &&
-              algorithm.should_forward(x, y, dest, s,
-                                       quota_scheme ? st.copies[x] : 1)) {
-            // Quota schemes only hand over copies while budget remains;
-            // the traffic checks run after that gate so the counters see
-            // only transfers that would actually happen.
-            const bool wants = !quota_scheme || st.copies[x] > 1;
-            bool admitted = wants;
-            if (admitted && capacity_limited &&
-                sz > traffic.buffer_capacity_bytes) {
-              ++result.buffer_rejections;
-              admitted = false;
-            }
-            if (admitted && budget_limited && work[ei].budget < sz) {
-              ++result.budget_blocked;
-              admitted = false;
-            }
-            if (admitted) {
-              if (capacity_limited) {
-                make_room(y, sz);
-                store_bytes[y] += sz;
-              }
-              if (budget_limited) work[ei].budget -= sz;
-              if (fast_scan && holder_count[y]++ == 0) ++holder_nodes;
-              if (quota_scheme) {
-                // Binary spray: hand over half the remaining budget; the
-                // holder keeps a copy while it has budget.
-                const std::uint32_t give = st.copies[x] / 2;
-                st.copies[x] -= give;
-                st.copies[y] = give;
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
-              } else if (algorithm.replicates()) {
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
-              } else {
-                if (capacity_limited)
-                  store_bytes[x] -= sz;  // the single copy moves away.
-                st.holders.reset(x);
-                st.holders.set(y);
-                st.hops[y] = static_cast<std::uint16_t>(st.hops[x] + 1);
-                at_node[y].push_back(id);
-                ++result.transmissions;
-                changed = true;
-                if (fast_scan && --holder_count[x] == 0) --holder_nodes;
-                continue;  // the single copy moved away: drop from x.
-              }
-            }
-          }
-          list[k++] = id;
-        }
-        list.resize(k);
-        return changed;
-      };
-
-      // Splices a freshly-minted holder's incident edges into the sorted
-      // worklist (fast scan only). Edges whose other endpoint is stamped
-      // are already present; a splice position at or before the caller's
-      // cursor lands the edge in the next pass — exactly where the full
-      // scan, which passed over it as a no-op before y held anything,
-      // would first act on it. Returns the caller's adjusted cursor.
-      const auto expand_holder = [&](NodeId y, std::size_t ei) {
-        if (edges_complete || ws.node_stamp[y] == member_stamp) return ei;
-        for (const NodeId z : graph.neighbors(s, y)) {
-          if (ws.node_stamp[z] == member_stamp) continue;
-          WorkEdge we{key_of(std::min(y, z), std::max(y, z)), std::min(y, z),
-                      std::max(y, z), traffic.contact_budget_bytes};
-          const auto it =
-              std::lower_bound(work.begin(), work.end(), we, work_less);
-          const auto pos = static_cast<std::size_t>(it - work.begin());
-          work.insert(it, we);
-          if (pos <= ei) ++ei;
-        }
-        ws.node_stamp[y] = member_stamp;
-        return ei;
-      };
-
-      bool converged = false;
-      for (std::uint32_t pass = 0; pass < request.max_relay_passes; ++pass) {
-        bool changed = false;
-        for (std::size_t ei = 0; ei < work.size(); ++ei) {
-          // Re-read endpoints after each relay: a splice may shift the
-          // current entry. Empty-list hoist: relay() on a holder-less
-          // endpoint is a no-op, and most endpoints hold nothing.
-          {
-            const NodeId x = work[ei].a;
-            const NodeId y = work[ei].b;
-            if (!at_node[x].empty()) {
-              const std::uint32_t before = fast_scan ? holder_count[y] : 1u;
-              if (relay(x, y, ei)) changed = true;
-              if (fast_scan && before == 0 && holder_count[y] > 0)
-                ei = expand_holder(y, ei);
-            }
-          }
-          {
-            const NodeId x = work[ei].b;
-            const NodeId y = work[ei].a;
-            if (!at_node[x].empty()) {
-              const std::uint32_t before = fast_scan ? holder_count[y] : 1u;
-              if (relay(x, y, ei)) changed = true;
-              if (fast_scan && before == 0 && holder_count[y] > 0)
-                ei = expand_holder(y, ei);
-            }
-          }
-        }
-        if (!changed) {
-          converged = true;
-          break;
-        }
-      }
-      // Surface truncation instead of silently cutting forwarding chains.
-      if (!converged) ++result.truncated_relay_steps;
-
-      // Re-arm every endpoint that still holds something for its next
-      // contact. Worklist endpoints cover all candidates: a node that
-      // holds anything here either held it entering the step (its edges
-      // were filtered in) or received it across a worklist edge.
-      if (fast_scan) {
-        const std::uint64_t armed_stamp = ++ws.stamp_gen;
-        for (const WorkEdge& e : work) {
-          for (const NodeId v : {e.a, e.b}) {
-            if (holder_count[v] == 0 || ws.node_stamp[v] == armed_stamp)
-              continue;
-            ws.node_stamp[v] = armed_stamp;
-            arm_node(v, s);
-          }
-        }
-      }
-    }
-
-    // Compact the active list occasionally.
-    if ((s & 63) == 0) {
-      std::erase_if(active_msgs, [&](std::uint32_t id) {
-        return state[id].delivered || state[id].expired || state[id].dropped;
-      });
-    }
-  };
-
-  if (request.replay == ReplayMode::kDense) {
-    for (graph::Step s = 0; s < graph.num_steps(); ++s) process_step(s);
-  } else if (!fast_scan) {
-    // Sparse event timeline: only steps carrying contact edges are
-    // visited. Messages created after the last contact simply never
-    // activate — nothing could happen to them anyway.
-    for (const graph::Step s : graph.active_steps()) process_step(s);
-  } else {
-    // Holder-incident schedule: visit the earlier of (a) the next armed
-    // holder contact and (b) the next pending activation's first active
-    // step — the exact step the full sparse replay would activate it at.
-    // Every skipped step is one where no holder has a contact and
-    // nothing activates, i.e. a step the full scan runs as a pure no-op
-    // (expiry is applied at the next visited step, before any contact;
-    // the trailing sweep below catches the rest — see DESIGN.md §11).
-    const auto pending_activation_step = [&]() -> graph::Step {
-      if (next_activation >= order.size()) return graph.num_steps();
-      return graph.next_active_step(
-          graph.step_of(messages[order[next_activation]].created));
-    };
-    const auto heap_pop = [&] {
+  /// The holder-incident schedule: visit the earlier of (a) the next armed
+  /// holder contact and (b) the next pending activation. Every skipped
+  /// step is one where no holder has a contact and nothing activates — a
+  /// pure no-op (expiry is applied at the next visited step, before any
+  /// contact; the trailing sweep in run() catches the rest — DESIGN.md
+  /// §11).
+  void replay_holder_contacts() {
+    auto& heap = ws.heap;
+    const auto heap_pop = [&heap] {
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
       heap.pop_back();
     };
@@ -917,8 +322,8 @@ SimulationResult simulate(const SimulationRequest& request,
       // Lazily discard visits whose node no longer holds anything: if it
       // regains a copy later, that transfer's step re-arms it.
       while (!heap.empty() &&
-             holder_count[static_cast<NodeId>(heap.front() &
-                                              0xFFFFFFFFULL)] == 0)
+             ws.holder_count[static_cast<NodeId>(heap.front() &
+                                                 0xFFFFFFFFULL)] == 0)
         heap_pop();
       const graph::Step heap_step =
           heap.empty() ? graph.num_steps()
@@ -935,15 +340,463 @@ SimulationResult simulate(const SimulationRequest& request,
     }
   }
 
-  // Expiry sweep over the rest of the trace window: a TTL elapsing after
-  // the last contact still expires (identically in both replay modes —
-  // the dense mode's trailing gap steps are no-ops too). TTLs outlasting
-  // the window leave the message undelivered-but-unexpired: still in
-  // flight when the trace ends.
-  if (has_ttl && graph.num_steps() > 0)
-    expire_until(graph.step_end(graph.num_steps() - 1));
+  /// Schedules node v's next contact after step s (if any) as a visit.
+  /// Entries are lazily discarded when v no longer holds anything by the
+  /// time they surface; duplicates are harmless (visits coalesce).
+  void arm_node(NodeId v, graph::Step s) {
+    const auto steps = graph.contact_steps(v);
+    const auto it = std::upper_bound(steps.begin(), steps.end(), s);
+    if (it == steps.end()) return;
+    ws.heap.push_back((static_cast<std::uint64_t>(*it) << 32) | v);
+    std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+  }
 
-  return result;
+  // --- Stage 2: the flood closure ----------------------------------------
+
+  /// Epidemic closure: every member of a contact component ends the step
+  /// holding everything any member held; delivery happens if the
+  /// destination is in the component. Hop levels come from the component
+  /// settle so epidemic deliveries carry real hop counts. Components
+  /// (masks + nonzero-word lists, canonical order) are extracted once per
+  /// step and shared by every message; with no live flood, nothing this
+  /// step could change and the extraction is skipped (the closure draws no
+  /// randomness, so the skip is invisible).
+  void flood_step(graph::Step s) {
+    auto& live = ws.active_msgs;
+    std::erase_if(live, [this](std::uint32_t id) {
+      return ws.states[id].delivered || ws.states[id].expired;
+    });
+    if (live.empty()) return;
+    const std::size_t num_comps =
+        graph::step_components_at(graph, s, ws.components);
+    // Per-message flood state is disjoint, so the live list fans out
+    // across the executor when one is provided. Shard geometry depends on
+    // the list alone (not the executor).
+    const std::size_t shards =
+        request.parallel != nullptr && live.size() > 1
+            ? std::clamp<std::size_t>(live.size() / 4, 1, 32)
+            : 1;
+    if (ws.settle.size() < shards) ws.settle.resize(shards);
+    if (shards == 1) {
+      std::size_t tx = 0;
+      for (const std::uint32_t id : live)
+        flood_message(id, s, num_comps, ws.settle[0], tx);
+      result.transmissions += tx;
+      return;
+    }
+    ws.shard_tx.assign(shards, 0);
+    (*request.parallel)(shards, [&](std::size_t shard) {
+      std::size_t tx = 0;
+      const std::size_t lo = live.size() * shard / shards;
+      const std::size_t hi = live.size() * (shard + 1) / shards;
+      for (std::size_t i = lo; i < hi; ++i)
+        flood_message(live[i], s, num_comps, ws.settle[shard], tx);
+      ws.shard_tx[shard] = tx;
+    });
+    // Fixed-order reduction (sums are order-independent anyway).
+    for (const std::size_t tx : ws.shard_tx) result.transmissions += tx;
+  }
+
+  /// Floods one message through the step's components. Touches only the
+  /// message's own state and outcome slot plus the caller-provided scratch
+  /// and transmission counter, so disjoint messages flood concurrently
+  /// with bit-identical results.
+  void flood_message(std::uint32_t id, graph::Step s, std::size_t num_comps,
+                     SettleScratch& sc, std::size_t& tx) {
+    auto& st = ws.states[id];
+    if (st.delivered || st.expired) return;
+    const NodeId dest = messages[id].destination;
+    for (std::size_t ci = 0; ci < num_comps; ++ci) {
+      const graph::StepComponent& comp = ws.components.pool[ci];
+      unsigned held = 0;
+      for (const std::uint32_t w : comp.words)
+        held += static_cast<unsigned>(
+            std::popcount(comp.mask.word(w) & st.holders.word(w)));
+      if (held == 0) continue;
+      if (comp.mask.test(dest)) {
+        // The copies made inside the component before reaching the
+        // destination (size - held - 1) plus the final hop.
+        tx += comp.size - held;
+        deliver(id, s, settle(comp, st, sc, dest));
+        break;
+      }
+      // Fully flooded components have nothing left to spread; skipping
+      // them also skips the (comparatively expensive) hop settle.
+      if (held == comp.size) continue;
+      settle(comp, st, sc, kNotFound);
+      for (const std::uint32_t w : comp.words) {
+        const std::uint64_t mask_word = comp.mask.word(w);
+        for_each_bit(w, mask_word & ~st.holders.word(w), [&](NodeId v) {
+          st.hops[v] = saturate_hops(sc.level[v]);
+        });
+        st.holders.or_word(w, mask_word);
+      }
+      tx += comp.size - held;
+    }
+  }
+
+  /// Hop settle: a level-synchronous BFS over one component with frontier
+  /// masks, seeded by the message's holders at their current hop counts
+  /// (bucketed relative to the minimum seed level, so the frontier array
+  /// stays short however large absolute hop counts grow). Per level the
+  /// fresh frontier is `seeded & ~visited`, computed wordwise over the
+  /// component's nonzero words only. Levels are minimal over all
+  /// holder-to-node chains within the step (the zero-weight closure of
+  /// §4.1). With `stop_at` inside the component, returns its level as soon
+  /// as it settles; otherwise settles the whole component, leaving
+  /// sc.level[] valid for every member. All scratch is cleared sparsely
+  /// (component words only) before returning.
+  std::uint32_t settle(const graph::StepComponent& comp,
+                       const MessageState& st, SettleScratch& sc,
+                       NodeId stop_at) const {
+    if (sc.level.size() < n) sc.level.resize(n, 0);
+    sc.visited.ensure_capacity(n);
+
+    std::uint32_t base = kNotFound;  // the minimum holder level.
+    for (const std::uint32_t w : comp.words)
+      for_each_bit(w, comp.mask.word(w) & st.holders.word(w), [&](NodeId v) {
+        base = std::min(base, static_cast<std::uint32_t>(st.hops[v]));
+      });
+    std::uint32_t top = 0;
+    const auto frontier_at = [&](std::uint32_t lvl) -> util::NodeSet& {
+      while (lvl >= sc.frontier.size()) {
+        sc.frontier.emplace_back();
+        sc.frontier.back().ensure_capacity(n);
+      }
+      return sc.frontier[lvl];
+    };
+    for (const std::uint32_t w : comp.words)
+      for_each_bit(w, comp.mask.word(w) & st.holders.word(w), [&](NodeId v) {
+        const std::uint32_t rel = st.hops[v] - base;
+        frontier_at(rel).set(v);
+        top = std::max(top, rel);
+      });
+
+    std::uint32_t found = kNotFound;
+    for (std::uint32_t lvl = 0; lvl <= top; ++lvl) {
+      // Materialize level lvl+1 first: growing the frontier vector later
+      // would invalidate the references taken below.
+      frontier_at(lvl + 1);
+      util::NodeSet& f = sc.frontier[lvl];
+      // Keep only nodes not already settled at a smaller level.
+      bool any = false;
+      for (const std::uint32_t w : comp.words) {
+        const std::uint64_t fresh = f.word(w) & ~sc.visited.word(w);
+        f.set_word(w, fresh);
+        if (fresh != 0) any = true;
+      }
+      if (!any) continue;
+      for (const std::uint32_t w : comp.words) {
+        sc.visited.or_word(w, f.word(w));
+        for_each_bit(w, f.word(w), [&](NodeId v) {
+          sc.level[v] = base + lvl;
+          if (v == stop_at) found = base + lvl;
+        });
+      }
+      if (found != kNotFound) break;
+      // Expand the settled frontier one hop; next level's `& ~visited`
+      // filters re-reached nodes. ws.components carries step s's
+      // adjacency, read-only and shared across shards.
+      util::NodeSet& nf = sc.frontier[lvl + 1];
+      bool expanded = false;
+      for (const std::uint32_t w : comp.words)
+        for_each_bit(w, f.word(w), [&](NodeId v) {
+          for (const NodeId nb : ws.components.step_neighbors(v)) {
+            nf.set(nb);
+            expanded = true;
+          }
+        });
+      if (expanded) top = std::max(top, lvl + 1);
+    }
+
+    // Sparse teardown: only the component's words were ever touched.
+    for (std::uint32_t lvl = 0; lvl <= top && lvl < sc.frontier.size();
+         ++lvl)
+      for (const std::uint32_t w : comp.words) sc.frontier[lvl].set_word(w, 0);
+    for (const std::uint32_t w : comp.words) sc.visited.set_word(w, 0);
+    return found != kNotFound ? found : 0;
+  }
+
+  // --- Stage 3: the holder-incident relay --------------------------------
+
+  /// Relays across the step's edges to a fixpoint so forwarding chains can
+  /// cross several contacts within one step. Edges relay in
+  /// detail::edge_order_key order, so the holder-incident worklist (edges
+  /// with a holder endpoint, expanded as transfers mint new holders)
+  /// replays the full edge list's decisions bit-exactly.
+  void relay_step(graph::Step s) {
+    step = s;
+    auto& work = ws.work;
+    work.clear();
+    // When most nodes hold something the filtered scan saves nothing —
+    // fall back to the complete edge list (same keys, same sort, so the
+    // step's decisions are unchanged either way).
+    edges_complete =
+        !holder_incident || 4 * holder_nodes >= static_cast<std::uint64_t>(n);
+    member_stamp = ++ws.stamp_gen;
+    for (const graph::StepEdge& e : graph.edges(s)) {
+      const NodeId a = std::min(e.a, e.b);
+      const NodeId b = std::max(e.a, e.b);
+      if (!edges_complete) {
+        const bool ha = ws.holder_count[a] > 0;
+        const bool hb = ws.holder_count[b] > 0;
+        if (!ha && !hb) continue;
+        // Holder endpoints are stamped: every edge incident to a stamped
+        // node is in the worklist, which is the invariant expand_holder()
+        // relies on.
+        if (ha) ws.node_stamp[a] = member_stamp;
+        if (hb) ws.node_stamp[b] = member_stamp;
+      }
+      work.push_back({detail::edge_order_key(request.seed, s, a, b), a, b,
+                      traffic.contact_budget_bytes});
+    }
+    std::sort(work.begin(), work.end(), work_less);
+
+    // Every delivery or transfer is one transmission, so a pass that adds
+    // none is the fixpoint. Truncation is counted, not silent.
+    bool converged = false;
+    for (std::uint32_t pass = 0; pass < request.max_relay_passes; ++pass) {
+      const std::uint64_t before = result.transmissions;
+      for (std::size_t ei = 0; ei < work.size(); ++ei) {
+        // Endpoints are re-read after each relay: a splice may shift the
+        // current entry.
+        relay_direction(work[ei].a, work[ei].b, ei);
+        relay_direction(work[ei].b, work[ei].a, ei);
+      }
+      converged = result.transmissions == before;
+      if (converged) break;
+    }
+    if (!converged) ++result.truncated_relay_steps;
+    if (holder_incident) rearm_holders();
+  }
+
+  /// Relays x's messages to y across worklist entry `ei` (advanced past
+  /// any edges spliced in at or before it). Empty-list hoist: a relay from
+  /// a holder-less node is a no-op, and most endpoints hold nothing.
+  void relay_direction(NodeId x, NodeId y, std::size_t& ei) {
+    if (ws.at_node[x].empty()) return;
+    const bool y_held = holder_incident && ws.holder_count[y] > 0;
+    relay(x, y, ei);
+    if (holder_incident && !y_held && ws.holder_count[y] > 0)
+      ei = expand_holder(y, ei);
+  }
+
+  void relay(NodeId x, NodeId y, std::size_t ei) {
+    auto& work = ws.work;
+    auto& list = ws.at_node[x];
+    std::size_t k = 0;  // order-preserving compaction write cursor.
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const std::uint32_t id = list[i];
+      auto& st = ws.states[id];
+      // Lazily drop stale entries (delivered, expired, evicted, or moved
+      // away).
+      if (st.delivered || st.expired || !st.holders.test(x)) continue;
+      const NodeId dest = messages[id].destination;
+      const std::uint64_t sz = messages[id].size_bytes;
+      if (y == dest) {
+        // The final hop consumes contact budget like any transfer; a
+        // blocked delivery stays queued for a later contact.
+        if (work[ei].budget < sz) {
+          ++result.budget_blocked;
+          list[k++] = id;
+          continue;
+        }
+        work[ei].budget -= sz;
+        deliver(id, step, st.hops[x] + 1U);
+        ++result.transmissions;
+        continue;
+      }
+      if (!st.holders.test(y) &&
+          algorithm.should_forward(x, y, dest, step,
+                                   quota_scheme ? st.copies[x] : 1) &&
+          admit(y, sz, ei, !quota_scheme || st.copies[x] > 1)) {
+        st.holders.set(y);
+        st.hops[y] = saturate_hops(st.hops[x] + 1U);
+        ws.at_node[y].push_back(id);
+        ++result.transmissions;
+        if (quota_scheme) {
+          // Binary spray: hand over half the remaining budget; the holder
+          // keeps a copy while it has budget.
+          const std::uint32_t give = st.copies[x] / 2;
+          st.copies[x] -= give;
+          st.copies[y] = give;
+        } else if (!algorithm.replicates()) {
+          if (capacity_limited)
+            ws.store_bytes[x] -= sz;  // the single copy moves away.
+          st.holders.reset(x);
+          holder_lost(x);
+          continue;  // the single copy moved away: drop from x.
+        }
+      }
+      list[k++] = id;
+    }
+    list.resize(k);
+  }
+
+  /// Splices a freshly-minted holder's incident edges into the sorted
+  /// worklist. Edges whose other endpoint is stamped are already present;
+  /// a splice position at or before the caller's cursor lands the edge in
+  /// the next pass — exactly where the full edge list, which passed over
+  /// it as a no-op before y held anything, would first act on it. Returns
+  /// the caller's adjusted cursor.
+  std::size_t expand_holder(NodeId y, std::size_t ei) {
+    if (edges_complete || ws.node_stamp[y] == member_stamp) return ei;
+    auto& work = ws.work;
+    for (const NodeId z : graph.neighbors(step, y)) {
+      if (ws.node_stamp[z] == member_stamp) continue;
+      const NodeId a = std::min(y, z);
+      const NodeId b = std::max(y, z);
+      const WorkEdge we{detail::edge_order_key(request.seed, step, a, b), a,
+                        b, traffic.contact_budget_bytes};
+      const auto it = std::lower_bound(work.begin(), work.end(), we, work_less);
+      const auto pos = static_cast<std::size_t>(it - work.begin());
+      work.insert(it, we);
+      if (pos <= ei) ++ei;
+    }
+    ws.node_stamp[y] = member_stamp;
+    return ei;
+  }
+
+  /// Re-arms every worklist endpoint that still holds something for its
+  /// next contact. Worklist endpoints cover all candidates: a node that
+  /// holds anything here either held it entering the step (its edges were
+  /// filtered in) or received it across a worklist edge.
+  void rearm_holders() {
+    const std::uint64_t armed_stamp = ++ws.stamp_gen;
+    for (const WorkEdge& e : ws.work) {
+      for (const NodeId v : {e.a, e.b}) {
+        if (ws.holder_count[v] == 0 || ws.node_stamp[v] == armed_stamp)
+          continue;
+        ws.node_stamp[v] = armed_stamp;
+        arm_node(v, step);
+      }
+    }
+  }
+
+  // --- Stage 4: traffic accounting ---------------------------------------
+
+  /// Whether y takes a copy of `sz` bytes across worklist entry `ei`. The
+  /// checks run only for a transfer the algorithm wants (`wants`: quota
+  /// schemes hand over copies only while budget remains), so the counters
+  /// see only transfers that would actually happen. On admission the
+  /// bytes are charged to y's buffer (evicting as needed) and the edge's
+  /// budget, and y joins the holder tally.
+  bool admit(NodeId y, std::uint64_t sz, std::size_t ei, bool wants) {
+    if (!wants) return false;
+    if (capacity_limited && sz > traffic.buffer_capacity_bytes) {
+      ++result.buffer_rejections;
+      return false;
+    }
+    // An unlimited budget (TrafficConfig::kUnlimited) never runs short.
+    if (ws.work[ei].budget < sz) {
+      ++result.budget_blocked;
+      return false;
+    }
+    if (capacity_limited) {
+      make_room(y, sz);
+      ws.store_bytes[y] += sz;
+    }
+    ws.work[ei].budget -= sz;
+    holder_gained(y);
+    return true;
+  }
+
+  void holder_gained(NodeId v) {
+    if (holder_incident && ws.holder_count[v]++ == 0) ++holder_nodes;
+  }
+
+  void holder_lost(NodeId v) {
+    if (holder_incident && --ws.holder_count[v] == 0) --holder_nodes;
+  }
+
+  /// Every remaining copy of `id` stops counting against its holder's
+  /// buffer and the holder tally (the copies themselves are removed lazily
+  /// from the per-node lists).
+  void release_copies(std::uint32_t id) {
+    if (!capacity_limited && !holder_incident) return;
+    const std::uint64_t sz = messages[id].size_bytes;
+    ws.states[id].holders.for_each([&](std::uint32_t v) {
+      if (capacity_limited) ws.store_bytes[v] -= sz;
+      holder_lost(v);
+    });
+  }
+
+  /// Marks `id` delivered at step s; a delivered message is inert. The
+  /// final hop's transmission is the caller's to count. Touches only the
+  /// message's own state and outcome slot on the flood path (which has no
+  /// copies to release), so flood shards may call it concurrently.
+  void deliver(std::uint32_t id, graph::Step s, std::uint32_t hops) {
+    ws.states[id].delivered = true;
+    result.outcomes[id] = {true, graph.step_end(s) - messages[id].created,
+                           saturate_hops(hops)};
+    release_copies(id);
+  }
+
+  /// Evicts resident copies at `node` until `incoming` more bytes fit, per
+  /// the configured policy. Only called when incoming <= capacity, so it
+  /// always succeeds: the per-node list holds every byte-accounted copy,
+  /// and evicting all of them frees the whole buffer. Evicting the last
+  /// copy of a message drops the message for good.
+  void make_room(NodeId node, std::uint64_t incoming) {
+    const std::uint64_t capacity = traffic.buffer_capacity_bytes;
+    auto& stored = ws.store_bytes[node];
+    if (stored + incoming <= capacity) return;
+    auto& list = ws.at_node[node];
+    // Compact away stale entries (delivered / expired / moved away) so
+    // the victim scan sees exactly the live residents.
+    std::erase_if(list, [&](std::uint32_t id) {
+      const auto& st = ws.states[id];
+      return st.delivered || st.expired || !st.holders.test(node);
+    });
+    // Whether resident l goes before resident r under a scan policy.
+    const auto evicts_before = [&](std::uint32_t l, std::uint32_t r) {
+      if (traffic.eviction == EvictionPolicy::kDropLargestHop) {
+        const auto lh = ws.states[l].hops[node];
+        const auto rh = ws.states[r].hops[node];
+        if (lh != rh) return lh > rh;
+      }
+      const Message& a = messages[l];
+      const Message& b = messages[r];
+      return a.created < b.created || (a.created == b.created && a.id < b.id);
+    };
+    while (stored + incoming > capacity) {
+      std::size_t victim = 0;
+      if (traffic.eviction == EvictionPolicy::kRandom) {
+        victim = rng.uniform_index(list.size());
+      } else {
+        for (std::size_t i = 1; i < list.size(); ++i)
+          if (evicts_before(list[i], list[victim])) victim = i;
+      }
+      const std::uint32_t vid = list[victim];
+      auto& vst = ws.states[vid];
+      vst.holders.reset(node);
+      stored -= messages[vid].size_bytes;
+      ++result.evictions;
+      holder_lost(node);
+      // Order-preserving removal: the live order of every per-node list
+      // is the canonical arrival order, which keeps victim draws and
+      // algorithm callbacks subset-invariant.
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(victim));
+      if (vst.holders.count() == 0) {
+        vst.dropped = true;
+        result.outcomes[vid].dropped = true;
+        ++result.drops;
+      }
+    }
+  }
+};
+
+}  // namespace
+
+SimulationResult simulate(const SimulationRequest& request) {
+  SimulatorWorkspace workspace;
+  return simulate(request, workspace);
+}
+
+SimulationResult simulate(const SimulationRequest& request,
+                          SimulatorWorkspace& workspace) {
+  const bool has_ttl = detail::validate_request(request);
+  return SimulationRun{request, workspace.internal_state(), has_ttl}.run();
 }
 
 }  // namespace psn::forward

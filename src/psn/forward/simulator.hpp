@@ -2,16 +2,20 @@
 // contended-forwarding traffic model (bandwidth budgets, bounded buffers,
 // TTL — forward/traffic.hpp).
 //
-// The simulator replays the space-time graph's *event timeline*: only
-// steps carrying at least one contact edge (graph::SpaceTimeGraph's
-// active-step index) are visited, so per-run cost is proportional to
-// contact events rather than to wall-clock steps. A contact-free step is a
-// complete no-op in both replay modes: message activation, TTL expiry, and
+// simulate() is the one fast path. It replays the space-time graph's
+// *event timeline*: only steps carrying at least one contact edge
+// (graph::SpaceTimeGraph's active-step index) are visited, so per-run
+// cost is proportional to contact events rather than to wall-clock steps.
+// Flooding runs spread through each step's contact components with a
+// word-parallel closure; the other schemes relay along holder-incident
+// contacts whenever they keep no online contact history. A contact-free
+// step is a complete no-op: message activation, TTL expiry, and
 // forwarding all happen at the next active step — observationally
 // identical to acting inside the gap, since holder state is only ever read
-// where a contact edge exists, and what makes the dense replay
-// (ReplayMode::kDense) a bit-exact equivalence oracle for the sparse
-// timeline, drop/expiry/eviction events included.
+// where a contact edge exists. simulate_reference() (reference.hpp)
+// replays every step and every edge node by node, and the equivalence
+// tests pin simulate() to it bit for bit, drop/expiry/eviction events
+// included.
 //
 // Within one step the simulator relays to a fixpoint: a forwarding chain
 // can cross several contact edges in one step (the zero-weight closure of
@@ -55,54 +59,12 @@
 
 namespace psn::forward {
 
-/// Which step sequence the replay visits. Results are bit-identical; the
-/// dense mode exists as the validation oracle and for benchmarking the
-/// timeline win (perf_microbench's event_timeline section).
-enum class ReplayMode : std::uint8_t {
-  kSparse,  ///< only the graph's active steps (the default).
-  kDense,   ///< every discretized step (pre-timeline reference semantics).
-};
-
-/// Which contact edges the generic (non-flood) relay path examines.
-/// Results are bit-identical; the full scan exists as the validation
-/// oracle, exactly as ReplayMode::kDense does for the sparse timeline.
-enum class ContactScan : std::uint8_t {
-  /// Holder-incident fast path (the default): a per-node contact-timeline
-  /// index schedules only steps where a current message holder has a
-  /// contact, and the per-step worklist carries only edges incident to
-  /// holders (expanded mid-pass as transfers mint new holders), so
-  /// per-run cost is proportional to holder contacts rather than to the
-  /// trace's total contacts. Applies when the algorithm keeps no online
-  /// contact history (observes_contacts() == false) under sparse replay;
-  /// flooding runs use their own closure kernels either way.
-  kHolderIncident,
-  /// Scan every step edge at every active step (the pre-index reference
-  /// semantics, retained verbatim as the equivalence oracle).
-  kFull,
-};
-
-/// Which implementation the flooding fast path uses for the per-step
-/// epidemic closure. Results are bit-identical (outcomes, hops,
-/// transmissions); the scalar kernel exists as the validation oracle,
-/// exactly as ReplayMode::kDense does for the sparse timeline.
-enum class FloodKernel : std::uint8_t {
-  /// Word-parallel closure (the default): per-component nonzero-word
-  /// lists drive 64-nodes-per-instruction AND/OR/popcount loops for
-  /// holder counting and spreading, and a frontier-mask BFS
-  /// (frontier = reached & ~visited, wordwise) settles hop levels.
-  kWordParallel,
-  /// Per-node reference kernel: full-width mask scans and a per-node
-  /// Dial bucket queue (the pre-word-kernel implementation, retained
-  /// verbatim as the equivalence oracle).
-  kScalar,
-};
-
 /// One fully-specified simulation: what to run (algorithm), over what
 /// (graph + trace), with which workload (messages), under which traffic
-/// limits, replayed how, seeded with what. This is the simulator's single
-/// entry point; engine::run_sweep builds one per run. All pointers are
-/// non-owning and must outlive the simulate() call; simulate() validates
-/// them and throws std::invalid_argument on nulls or malformed messages.
+/// limits, seeded with what. simulate() and simulate_reference() take the
+/// same request; engine::run_sweep builds one per run. All pointers are
+/// non-owning and must outlive the call, which validates them and throws
+/// std::invalid_argument on nulls or malformed messages.
 struct SimulationRequest {
   ForwardingAlgorithm* algorithm = nullptr;
   const graph::SpaceTimeGraph* graph = nullptr;
@@ -119,21 +81,14 @@ struct SimulationRequest {
   /// of a step's edges sorts into the same relative order) and, under
   /// EvictionPolicy::kRandom, the eviction victim draws.
   std::uint64_t seed = 1;
-  /// Step sequence to replay (see ReplayMode).
-  ReplayMode replay = ReplayMode::kSparse;
-  /// Contact-edge coverage of the generic relay path (see ContactScan).
-  ContactScan contact_scan = ContactScan::kHolderIncident;
-  /// Epidemic-closure implementation (see FloodKernel). Only consulted on
-  /// the flooding fast path; the generic relay path has one kernel.
-  FloodKernel flood_kernel = FloodKernel::kWordParallel;
   /// Optional intra-run executor (non-owning; may be null). When set, the
   /// word-parallel flooding path fans each step's component closures out
   /// across live messages: per-message flood state is disjoint, outcome
   /// slots are addressed by message id, and per-shard transmission
   /// counters are reduced in fixed order, so results are bit-identical to
-  /// the serial replay at any thread count. Ignored by the scalar oracle
-  /// kernel and the generic relay path (whose RNG-ordered edge scan is
-  /// inherently sequential).
+  /// the serial replay at any thread count. Ignored by the generic relay
+  /// path (whose RNG-ordered edge scan is inherently sequential) and by
+  /// simulate_reference().
   const util::ParallelFor* parallel = nullptr;
 };
 
@@ -156,11 +111,11 @@ struct SimulatorState {
   };
 
   /// One generic-path worklist entry: an edge tagged with its per-(seed,
-  /// step) order hash and its remaining per-step byte budget (shared by
+  /// step) order key and its remaining per-step byte budget (shared by
   /// both directions and all relay passes). Endpoints are normalized
   /// a < b; the worklist sorts by (key, a, b) — a strict total order, so
   /// the holder-incident subset sorts into exactly the relative order it
-  /// has inside the full scan's list.
+  /// has inside the step's full edge list.
   struct WorkEdge {
     std::uint64_t key;
     NodeId a;
@@ -172,15 +127,17 @@ struct SimulatorState {
   std::vector<std::uint32_t> order;  ///< message ids by creation time.
   std::vector<std::uint32_t> expiry_order;  ///< ids by expiry time.
   std::vector<std::vector<std::uint32_t>> at_node;  ///< generic-path lists.
+  /// Activated floods not yet known to be delivered or expired (flooding
+  /// runs only), compacted at every flood step.
   std::vector<std::uint32_t> active_msgs;
   /// Per-node buffer occupancy in bytes (bounded-buffer runs only).
   std::vector<std::uint64_t> store_bytes;
   /// The generic relay path's per-step edge worklist (see WorkEdge).
   std::vector<WorkEdge> work;
-  /// Holder-incident scheduling state (ContactScan::kHolderIncident
-  /// only). `holder_count[v]` counts live message copies node v holds;
-  /// `node_stamp` is a generation-stamped per-node flag reused for both
-  /// the worklist-membership and once-per-step-arming marks (two
+  /// Holder-incident scheduling state (non-flooding runs without online
+  /// contact history). `holder_count[v]` counts live message copies node
+  /// v holds; `node_stamp` is a generation-stamped per-node flag reused
+  /// for both the worklist-membership and once-per-step-arming marks (two
   /// generations per processed step, monotone across runs — a warm
   /// workspace needs no re-zeroing); `heap` is the min-heap of packed
   /// (step << 32 | node) next-contact visits.
@@ -188,24 +145,13 @@ struct SimulatorState {
   std::vector<std::uint64_t> node_stamp;
   std::uint64_t stamp_gen = 0;
   std::vector<std::uint64_t> heap;
-  /// Scalar-kernel hop-settle scratch. `mark` entries equal `mark_gen`
-  /// only for nodes settled in the current generation; the generation
-  /// counter is never reset, so stale runs can't alias (64-bit: no
-  /// wraparound).
-  std::vector<std::uint32_t> level;
-  std::vector<std::uint64_t> mark;
-  std::uint64_t mark_gen = 0;
-  /// Bucket queue for the scalar hop settle (levels are small, so Dial's
-  /// algorithm beats a binary heap); buckets[l] holds the level-l
-  /// frontier and is left empty between settles.
-  std::vector<std::vector<NodeId>> buckets;
-  /// Per-step contact components (masks + nonzero-word lists), shared by
-  /// both flood kernels.
+  /// Per-step contact components (masks + nonzero-word lists) for the
+  /// flood closure.
   graph::StepComponentScratch components;
 
-  /// Word-kernel hop-settle scratch, one per fan-out shard (slot 0 serves
-  /// the serial path). Frontier/visited masks are cleared sparsely via
-  /// the component's word list, so a settle costs O(component), never
+  /// Flood hop-settle scratch, one per fan-out shard (slot 0 serves the
+  /// serial path). Frontier/visited masks are cleared sparsely via the
+  /// component's word list, so a settle costs O(component), never
   /// O(population).
   struct SettleScratch {
     std::vector<std::uint32_t> level;    ///< absolute hop level per node.
@@ -213,18 +159,30 @@ struct SimulatorState {
     std::vector<util::NodeSet> frontier; ///< per-relative-level seed masks.
   };
   std::vector<SettleScratch> settle;
-  std::vector<std::uint32_t> live;      ///< flood fan-out worklist.
   std::vector<std::size_t> shard_tx;    ///< per-shard transmission counts.
 };
+
+/// Throws std::invalid_argument unless `request` is well formed (non-null
+/// fields; in-range, distinct endpoints; nonzero sizes; finite creation
+/// times; non-negative TTLs). Returns whether any message has a finite
+/// TTL. Shared by simulate() and simulate_reference().
+bool validate_request(const SimulationRequest& request);
+
+/// The order key of contact edge {a, b}, a < b, at step s: each step
+/// relays its edges in ascending (key, a, b) order, so any subset of a
+/// step's edges sorts into the same relative order. Shared by simulate()
+/// and simulate_reference().
+[[nodiscard]] std::uint64_t edge_order_key(std::uint64_t seed, graph::Step s,
+                                           NodeId a, NodeId b) noexcept;
 
 }  // namespace detail
 
 /// Reusable simulator scratch: per-message holder sets and hop arrays,
 /// per-node message lists and buffer occupancy, the flooding path's
-/// hop-settle and component scratch, and the per-step edge shuffle and
-/// budget buffers. A workspace warmed by one run lets subsequent runs
-/// execute without heap allocation (capacities are retained, never
-/// shrunk), which is why the sweep engine owns one per worker thread.
+/// hop-settle and component scratch, and the per-step edge worklist. A
+/// workspace warmed by one run lets subsequent runs execute without heap
+/// allocation (capacities are retained, never shrunk), which is why the
+/// sweep engine owns one per worker thread.
 ///
 /// Not thread-safe: one workspace serves one simulate() call at a time.
 /// Any population/workload size is accepted — the workspace grows to the

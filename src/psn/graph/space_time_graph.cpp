@@ -376,9 +376,11 @@ bool SpaceTimeGraph::arenas_identical(
 }
 
 Step SpaceTimeGraph::step_of(Seconds t) const noexcept {
-  if (t <= 0.0) return 0;
-  const auto s = static_cast<Step>(std::floor(t / delta_));
-  return std::min<Step>(s, num_steps() - 1);
+  if (!(t > 0.0)) return 0;  // also NaN.
+  // Clamp in floating point: casting a quotient beyond Step's range (or
+  // +inf) to Step is undefined behaviour.
+  const Seconds last = static_cast<Seconds>(num_steps() - 1);
+  return static_cast<Step>(std::min(std::floor(t / delta_), last));
 }
 
 Step SpaceTimeGraph::next_active_step(Step s) const noexcept {

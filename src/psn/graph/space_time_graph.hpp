@@ -173,7 +173,8 @@ class SpaceTimeGraph {
   [[nodiscard]] Step num_steps() const noexcept { return num_steps_; }
 
   /// The step whose interval [step*delta, (step+1)*delta) contains t,
-  /// clamped into range.
+  /// clamped into range: t <= 0 (and NaN) map to step 0, t at or past the
+  /// window's end (and +inf) to the last step.
   [[nodiscard]] Step step_of(Seconds t) const noexcept;
 
   /// End of step s; we report path arrival times at step ends since the

@@ -25,9 +25,12 @@
 #include "psn/forward/algorithm_registry.hpp"
 #include "psn/synth/pairwise_poisson.hpp"
 #include "psn/trace/trace_stats.hpp"
+#include "equivalence.hpp"
 
 namespace psn::engine {
 namespace {
+
+using test::expect_cells_identical;
 
 // A small but non-trivial dataset: 24 nodes, 45 minutes, heterogeneous
 // weights so the pair-type split is exercised.
@@ -331,31 +334,6 @@ TEST(Sweep, Campus512BitIdenticalAcrossThreadCounts) {
   EXPECT_GT(lhs.cells[0].overall.delivered, 0u);
 }
 
-// Bit-identical cell comparison (no tolerance on doubles).
-void expect_cells_identical(const SweepResult& lhs, const SweepResult& rhs) {
-  ASSERT_EQ(lhs.cells.size(), rhs.cells.size());
-  for (std::size_t c = 0; c < lhs.cells.size(); ++c) {
-    const auto& a = lhs.cells[c];
-    const auto& b = rhs.cells[c];
-    EXPECT_EQ(a.scenario, b.scenario);
-    EXPECT_EQ(a.algorithm, b.algorithm);
-    EXPECT_EQ(a.overall.messages, b.overall.messages);
-    EXPECT_EQ(a.overall.delivered, b.overall.delivered);
-    EXPECT_EQ(a.overall.success_rate, b.overall.success_rate);
-    EXPECT_EQ(a.overall.average_delay, b.overall.average_delay);
-    EXPECT_EQ(a.overall.average_hops, b.overall.average_hops);
-    EXPECT_EQ(a.cost_per_message, b.cost_per_message);
-    EXPECT_EQ(a.delays, b.delays);
-    EXPECT_EQ(a.truncated_relay_steps, b.truncated_relay_steps);
-    for (std::size_t t = 0; t < 4; ++t) {
-      EXPECT_EQ(a.by_pair_type.per_type[t].success_rate,
-                b.by_pair_type.per_type[t].success_rate);
-      EXPECT_EQ(a.by_pair_type.per_type[t].average_delay,
-                b.by_pair_type.per_type[t].average_delay);
-    }
-  }
-}
-
 TEST(ScenarioRegistry, ScaleTierNamesAreRegistered) {
   const auto names = scenario_names();
   for (const char* required :
@@ -386,10 +364,10 @@ TEST(ScenarioRegistry, DiurnalTierHasQuietHours) {
             context->graph->num_steps() / 2);
 }
 
-// The two simulator options run_sweep forwards — the flood-kernel choice
-// and the intra-run fan-out — must never change results, only walls:
-// the scalar kernel is the word kernel's oracle, and the fan-out shards
-// per-message state that is disjoint by construction.
+// The two simulator options run_sweep forwards — the reference simulator
+// and the intra-run fan-out — must never change results, only walls: the
+// reference is the fast path's oracle, and the fan-out shards per-message
+// state that is disjoint by construction.
 TEST(Sweep, FloodKernelAndIntraRunFanOutAreBitIdentical) {
   const auto scenario = make_scenario_by_name("town_128");
   PlanConfig config;
@@ -401,7 +379,7 @@ TEST(Sweep, FloodKernelAndIntraRunFanOutAreBitIdentical) {
   SweepOptions word;
   word.threads = 2;
   SweepOptions scalar = word;
-  scalar.flood_kernel = forward::FloodKernel::kScalar;
+  scalar.reference = true;
   SweepOptions fanout = word;
   fanout.intra_run_parallel = true;
 
@@ -512,7 +490,7 @@ TEST(ScenarioContextCache, SameScenarioYieldsSameContext) {
 }
 
 // The equivalence harness at sweep level: the sparse event timeline must
-// reproduce the dense replay bit for bit on the infocom06 stand-in
+// reproduce the every-step reference bit for bit on the infocom06 stand-in
 // (conference_small) across the full paper algorithm matrix, at 1 and 8
 // threads.
 TEST(Sweep, SparseTimelineMatchesDenseOnInfocomMatrix) {
@@ -527,10 +505,9 @@ TEST(Sweep, SparseTimelineMatchesDenseOnInfocomMatrix) {
   for (const std::size_t threads : {1u, 8u}) {
     SweepOptions dense;
     dense.threads = threads;
-    dense.replay = forward::ReplayMode::kDense;
+    dense.reference = true;
     SweepOptions sparse;
     sparse.threads = threads;
-    sparse.replay = forward::ReplayMode::kSparse;
     const auto lhs = run_sweep(plan, dense);
     const auto rhs = run_sweep(plan, sparse);
     expect_cells_identical(lhs, rhs);
@@ -551,18 +528,17 @@ TEST(Sweep, SparseTimelineMatchesDenseAcrossScaleTiers) {
     for (const std::size_t threads : {1u, 8u}) {
       SweepOptions dense;
       dense.threads = threads;
-      dense.replay = forward::ReplayMode::kDense;
+      dense.reference = true;
       SweepOptions sparse;
       sparse.threads = threads;
-      sparse.replay = forward::ReplayMode::kSparse;
       expect_cells_identical(run_sweep(plan, dense), run_sweep(plan, sparse));
     }
   }
 }
 
 // The holder-incident fast path plus shared observation snapshots — the
-// default SweepOptions — must reproduce the full-replay, per-run-
-// observation oracle bit for bit on the conference matrix across the
+// default SweepOptions — must reproduce the full-scan, per-run-
+// observation reference bit for bit on the conference matrix across the
 // whole extended algorithm suite, at 1 and 8 threads.
 TEST(Sweep, HolderIncidentSharedObservationMatchesOracleOnInfocomMatrix) {
   const auto scenario = make_scenario_by_name("conference_small");
@@ -576,10 +552,9 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleOnInfocomMatrix) {
   for (const std::size_t threads : {1u, 8u}) {
     SweepOptions oracle;
     oracle.threads = threads;
-    oracle.contact_scan = forward::ContactScan::kFull;
-    oracle.observation = ObservationMode::kPerRun;
+    oracle.reference = true;
     SweepOptions fast;
-    fast.threads = threads;  // kHolderIncident + kShared defaults.
+    fast.threads = threads;
     expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
   }
 }
@@ -601,8 +576,7 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
 
   SweepOptions oracle;
   oracle.threads = 8;
-  oracle.contact_scan = forward::ContactScan::kFull;
-  oracle.observation = ObservationMode::kPerRun;
+  oracle.reference = true;
   SweepOptions fast;
   fast.threads = 8;
   expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
@@ -856,7 +830,7 @@ TEST(Sweep, DynamicProgrammingSharesOneMatrixPerScenario) {
   for (const std::size_t threads : {1u, 8u}) {
     SweepOptions oracle;
     oracle.threads = threads;
-    oracle.observation = ObservationMode::kPerRun;
+    oracle.reference = true;
     SweepOptions shared;
     shared.threads = threads;
     expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, shared));

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,11 +24,14 @@
 #include "psn/forward/algorithms/prophet.hpp"
 #include "psn/forward/algorithms/randomized.hpp"
 #include "psn/forward/algorithms/spray_and_wait.hpp"
+#include "psn/forward/reference.hpp"
 #include "psn/forward/simulator.hpp"
+#include "equivalence.hpp"
 
 namespace psn::forward {
 namespace {
 
+using test::expect_results_identical;
 using trace::Contact;
 using trace::ContactTrace;
 
@@ -82,12 +87,20 @@ TEST(Simulator, MessageCreatedAfterOnlyContactFails) {
 }
 
 TEST(Simulator, RejectsBadMessages) {
+  // Both simulators share one validation. A NaN creation time would also
+  // break the strict weak ordering the activation sort relies on.
   const Fixture f({Contact::make(0, 1, 0.0, 5.0)}, 2, 60.0);
   EpidemicForwarding epidemic;
-  EXPECT_THROW((void)f.run(epidemic, {msg(0, 0, 0, 0.0)}),
-               std::invalid_argument);
-  EXPECT_THROW((void)f.run(epidemic, {msg(0, 0, 7, 0.0)}),
-               std::invalid_argument);
+  for (const Message& bad :
+       {msg(0, 0, 0, 0.0), msg(0, 0, 7, 0.0),
+        msg(0, 0, 1, std::numeric_limits<Seconds>::quiet_NaN()),
+        msg(0, 0, 1, std::numeric_limits<Seconds>::infinity())}) {
+    const std::vector<Message> msgs = {bad};
+    EXPECT_THROW((void)simulate(f.request(epidemic, msgs)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)simulate_reference(f.request(epidemic, msgs)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Epidemic, UsesMultiHopPathsOverTime) {
@@ -531,59 +544,32 @@ TEST(Simulator, EmptyMessageListIsFine) {
   EXPECT_EQ(r.transmissions, 0u);
 }
 
-// --- Sparse event timeline vs dense replay: the equivalence harness. ---
-// The sparse path must be bit-identical to the pre-timeline dense replay
-// for every algorithm — same outcomes, delays, hops, transmissions, and
-// truncation counters.
+// --- Sparse event timeline vs the dense reference: the equivalence
+// --- harness. simulate() replays only active steps; simulate_reference()
+// --- replays every step. They must be bit-identical for every algorithm —
+// --- same outcomes, delays, hops, transmissions, and truncation counters.
 
-void expect_results_identical(const SimulationResult& a,
-                              const SimulationResult& b,
-                              const std::string& label) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << label;
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].delivered, b.outcomes[i].delivered)
-        << label << " message " << i;
-    EXPECT_EQ(a.outcomes[i].delay, b.outcomes[i].delay)
-        << label << " message " << i;
-    EXPECT_EQ(a.outcomes[i].hops, b.outcomes[i].hops)
-        << label << " message " << i;
-    EXPECT_EQ(a.outcomes[i].expired, b.outcomes[i].expired)
-        << label << " message " << i;
-    EXPECT_EQ(a.outcomes[i].dropped, b.outcomes[i].dropped)
-        << label << " message " << i;
-  }
-  EXPECT_EQ(a.transmissions, b.transmissions) << label;
-  EXPECT_EQ(a.truncated_relay_steps, b.truncated_relay_steps) << label;
-  EXPECT_EQ(a.expirations, b.expirations) << label;
-  EXPECT_EQ(a.evictions, b.evictions) << label;
-  EXPECT_EQ(a.drops, b.drops) << label;
-  EXPECT_EQ(a.budget_blocked, b.budget_blocked) << label;
-  EXPECT_EQ(a.buffer_rejections, b.buffer_rejections) << label;
-}
-
-void expect_sparse_matches_dense(const Fixture& f,
-                                 const std::vector<Message>& msgs,
-                                 const TrafficConfig& traffic = {}) {
+// Runs every extended algorithm through both simulators and asserts
+// every observable agrees.
+void expect_matches_reference(const Fixture& f,
+                              const std::vector<Message>& msgs,
+                              const TrafficConfig& traffic = {}) {
   for (auto& alg : make_extended_algorithms()) {
-    auto dense = f.request(*alg, msgs);
-    dense.traffic = traffic;
-    dense.replay = ReplayMode::kDense;
-    auto sparse = f.request(*alg, msgs);
-    sparse.traffic = traffic;
-    sparse.replay = ReplayMode::kSparse;
-    const auto a = simulate(dense);
-    const auto b = simulate(sparse);
+    auto request = f.request(*alg, msgs);
+    request.traffic = traffic;
+    const auto a = simulate_reference(request);
+    const auto b = simulate(request);
     expect_results_identical(a, b, alg->name());
   }
 }
 
 TEST(SimulatorTimeline, EmptyTraceMatchesDense) {
-  // No contacts at all: the sparse replay visits zero steps, the dense
-  // replay scans six empty ones; both must report the same (undelivered)
+  // No contacts at all: the sparse replay visits zero steps, the
+  // reference scans six empty ones; both must report the same (undelivered)
   // outcomes for messages created anywhere in the window.
   const Fixture f({}, 3, 60.0);
   EXPECT_TRUE(f.graph.active_steps().empty());
-  expect_sparse_matches_dense(
+  expect_matches_reference(
       f, {msg(0, 0, 1, 0.0), msg(1, 1, 2, 35.0), msg(2, 2, 0, 59.0)});
 }
 
@@ -591,23 +577,22 @@ TEST(SimulatorTimeline, SingleContactAtStepZeroMatchesDense) {
   const Fixture f({Contact::make(0, 1, 0.0, 4.0)}, 3, 60.0);
   ASSERT_EQ(f.graph.num_active_steps(), 1u);
   ASSERT_EQ(f.graph.active_steps()[0], 0u);
-  expect_sparse_matches_dense(f, {msg(0, 0, 1, 0.0),   // delivered at 0.
+  expect_matches_reference(f, {msg(0, 0, 1, 0.0),   // delivered at 0.
                                   msg(1, 0, 2, 0.0),   // never deliverable.
                                   msg(2, 1, 0, 30.0)});  // created after.
 }
 
 TEST(SimulatorTimeline, MessageCreatedAfterLastContactMatchesDense) {
-  // Created after the final contact: dense activates it on a late empty
-  // step, sparse never activates it — the outcome (undelivered) must be
-  // identical.
+  // Created after the final contact: neither replay activates it — the
+  // outcome (undelivered) must be identical.
   const Fixture f({Contact::make(0, 1, 10.0, 15.0)}, 3, 200.0);
-  expect_sparse_matches_dense(f, {msg(0, 0, 1, 30.0), msg(1, 0, 1, 199.0)});
+  expect_matches_reference(f, {msg(0, 0, 1, 30.0), msg(1, 0, 1, 199.0)});
 }
 
 TEST(SimulatorTimeline, MessagesCreatedInsideSkippedGapMatchDense) {
   // Contacts in steps 0-1 and 9-10 with an 8-step silent gap in between;
   // messages created inside the gap must activate at the next active step
-  // under the sparse timeline and behave exactly as under dense replay.
+  // under the sparse timeline and behave exactly as under the reference.
   const Fixture f(
       {
           Contact::make(0, 1, 5.0, 12.0),
@@ -616,7 +601,7 @@ TEST(SimulatorTimeline, MessagesCreatedInsideSkippedGapMatchDense) {
       },
       4, 200.0);
   ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
-  expect_sparse_matches_dense(f, {
+  expect_matches_reference(f, {
                                      msg(0, 0, 2, 30.0),  // mid-gap creation.
                                      msg(1, 1, 0, 45.0),  // mid-gap creation.
                                      msg(2, 2, 3, 50.0),  // undeliverable.
@@ -642,16 +627,15 @@ TEST(SimulatorTimeline, GapSpanningScenarioMatchesDenseForAllAlgorithms) {
   for (std::uint32_t i = 0; i < 12; ++i)
     msgs.push_back(msg(i, static_cast<NodeId>(i % 5),
                        static_cast<NodeId>((i + 2) % 5), i * 80.0));
-  expect_sparse_matches_dense(f, msgs);
+  expect_matches_reference(f, msgs);
 }
 
-// --- Holder-incident contact scan vs the full-replay scalar oracle. ---
-// ContactScan::kHolderIncident lets eligible runs visit only steps and
-// contacts incident to current message holders; ContactScan::kFull scans
-// every contact of every active step and is retained as the permanent
-// oracle. The two must be bit-identical for every algorithm — outcomes,
-// delays, hops, transmissions, and every traffic counter — constrained
-// or not.
+// --- Holder-incident relay vs the full-scan reference. ---
+// simulate() lets eligible runs visit only steps and contacts incident to
+// current message holders; simulate_reference() scans every contact of
+// every step. The two must be bit-identical for every algorithm —
+// outcomes, delays, hops, transmissions, and every traffic counter —
+// constrained or not.
 
 std::vector<Contact> burst_gap_contacts() {
   std::vector<Contact> cs;
@@ -662,7 +646,7 @@ std::vector<Contact> burst_gap_contacts() {
     cs.push_back(Contact::make(2, 3, t0 + 30.0, t0 + 42.0));
     cs.push_back(Contact::make(3, 4, t0 + 31.0, t0 + 41.0));
     // A side pair no message route touches: the fast path must skip it,
-    // the oracle scans it, and the results must still agree.
+    // the reference scans it, and the results must still agree.
     cs.push_back(Contact::make(5, 6, t0 + 50.0, t0 + 60.0));
   }
   return cs;
@@ -676,29 +660,15 @@ std::vector<Message> burst_gap_messages() {
   return msgs;
 }
 
-void expect_fast_matches_full(const Fixture& f,
-                              const std::vector<Message>& msgs,
-                              const TrafficConfig& traffic = {}) {
-  for (auto& alg : make_extended_algorithms()) {
-    auto full = f.request(*alg, msgs);
-    full.traffic = traffic;
-    full.contact_scan = ContactScan::kFull;
-    auto fast = f.request(*alg, msgs);
-    fast.traffic = traffic;
-    fast.contact_scan = ContactScan::kHolderIncident;
-    expect_results_identical(simulate(full), simulate(fast), alg->name());
-  }
-}
-
 TEST(SimulatorHolderIncident, GapTraceMatchesFullOracleForAllAlgorithms) {
   const Fixture f(burst_gap_contacts(), 7, 1100.0);
   ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
-  expect_fast_matches_full(f, burst_gap_messages());
+  expect_matches_reference(f, burst_gap_messages());
 }
 
 TEST(SimulatorHolderIncident, MidGapActivationMatchesFullOracle) {
   // Messages created inside silent gaps and after the last contact: the
-  // fast path's activation scheduling must agree with the oracle's.
+  // fast path's activation scheduling must agree with the reference's.
   const Fixture f(
       {
           Contact::make(0, 1, 5.0, 12.0),
@@ -706,7 +676,7 @@ TEST(SimulatorHolderIncident, MidGapActivationMatchesFullOracle) {
           Contact::make(0, 2, 98.0, 102.0),
       },
       4, 300.0);
-  expect_fast_matches_full(f, {
+  expect_matches_reference(f, {
                                   msg(0, 0, 2, 30.0),   // mid-gap creation.
                                   msg(1, 1, 0, 45.0),   // mid-gap creation.
                                   msg(2, 2, 3, 50.0),   // undeliverable.
@@ -717,7 +687,7 @@ TEST(SimulatorHolderIncident, MidGapActivationMatchesFullOracle) {
 
 TEST(SimulatorHolderIncident, ConstrainedTrafficMatchesFullOracle) {
   // Finite contact budget, tight buffers, and TTLs: expiry, eviction, and
-  // budget-blocking must fire identically under both scan modes.
+  // budget-blocking must fire identically in both simulators.
   const Fixture f(burst_gap_contacts(), 7, 1100.0);
   auto msgs = burst_gap_messages();
   for (auto& m : msgs) {
@@ -730,7 +700,7 @@ TEST(SimulatorHolderIncident, ConstrainedTrafficMatchesFullOracle) {
     traffic.contact_budget_bytes = 4;
     traffic.buffer_capacity_bytes = 6;
     traffic.eviction = policy;
-    expect_fast_matches_full(f, msgs, traffic);
+    expect_matches_reference(f, msgs, traffic);
   }
 }
 
@@ -753,10 +723,8 @@ void expect_adopted_matches_per_run(const std::string& name, const Fixture& f,
   EXPECT_TRUE(oracle->observes_contacts()) << name;
   EXPECT_FALSE(adopted->observes_contacts()) << name;
 
-  auto full = f.request(*oracle, msgs);
-  full.contact_scan = ContactScan::kFull;
-  auto fast = f.request(*adopted, msgs);
-  expect_results_identical(simulate(full), simulate(fast), name);
+  expect_results_identical(simulate_reference(f.request(*oracle, msgs)),
+                           simulate(f.request(*adopted, msgs)), name);
 }
 
 TEST(SharedSnapshots, AdoptedAlgorithmsMatchPerRunOracle) {
@@ -814,10 +782,8 @@ void expect_adopted_oracle_matches_per_run(const std::string& name,
   EXPECT_FALSE(oracle->observes_contacts()) << name;
   EXPECT_FALSE(adopted->observes_contacts()) << name;
 
-  auto full = f.request(*oracle, msgs);
-  full.contact_scan = ContactScan::kFull;
-  auto fast = f.request(*adopted, msgs);
-  expect_results_identical(simulate(full), simulate(fast), name);
+  expect_results_identical(simulate_reference(f.request(*oracle, msgs)),
+                           simulate(f.request(*adopted, msgs)), name);
 }
 
 TEST(SharedSnapshots, DynamicProgrammingMatrixIsParameterFree) {
@@ -1032,27 +998,17 @@ TEST(Simulator, WorkspaceReuseIsBitIdentical) {
     for (const auto* fx : {&small, &big, &small}) {
       const auto& msgs = fx == &big ? big_msgs : small_msgs;
       const auto request = fx->request(*alg, msgs);
-      const auto fresh = simulate(request);
-      const auto reused = simulate(request, shared);
-      ASSERT_EQ(fresh.outcomes.size(), reused.outcomes.size()) << alg->name();
-      for (std::size_t i = 0; i < fresh.outcomes.size(); ++i) {
-        EXPECT_EQ(fresh.outcomes[i].delivered, reused.outcomes[i].delivered)
-            << alg->name();
-        EXPECT_EQ(fresh.outcomes[i].delay, reused.outcomes[i].delay)
-            << alg->name();
-        EXPECT_EQ(fresh.outcomes[i].hops, reused.outcomes[i].hops)
-            << alg->name();
-      }
-      EXPECT_EQ(fresh.transmissions, reused.transmissions) << alg->name();
+      expect_results_identical(simulate(request), simulate(request, shared),
+                               alg->name());
     }
   }
 }
 
 TEST(Simulator, FloodKernelsMatchBitForBit) {
-  // The word-parallel flood kernel must reproduce the scalar oracle
-  // kernel bit-for-bit: outcomes, delays, hop counts, and transmission
-  // totals. Non-flooding algorithms never enter the flood path, so for
-  // them this doubles as a no-op knob check.
+  // The word-parallel flood closure must reproduce the reference's
+  // node-by-node closure bit-for-bit: outcomes, delays, hop counts, and
+  // transmission totals. Non-flooding algorithms never enter the flood
+  // path; for them this is one more relay equivalence check.
   std::vector<Contact> cs;
   for (int i = 0; i < 30; ++i)
     cs.push_back(Contact::make(static_cast<NodeId>(i % 5),
@@ -1071,20 +1027,83 @@ TEST(Simulator, FloodKernelsMatchBitForBit) {
   for (auto& alg : make_extended_algorithms()) {
     auto request = f.request(*alg, msgs);
     request.seed = 11;
-    request.flood_kernel = FloodKernel::kWordParallel;
-    const auto word = simulate(request);
-    request.flood_kernel = FloodKernel::kScalar;
-    const auto scalar = simulate(request);
-    ASSERT_EQ(word.outcomes.size(), scalar.outcomes.size()) << alg->name();
-    for (std::size_t i = 0; i < word.outcomes.size(); ++i) {
-      EXPECT_EQ(word.outcomes[i].delivered, scalar.outcomes[i].delivered)
-          << alg->name();
-      EXPECT_EQ(word.outcomes[i].delay, scalar.outcomes[i].delay)
-          << alg->name();
-      EXPECT_EQ(word.outcomes[i].hops, scalar.outcomes[i].hops)
-          << alg->name();
+    expect_results_identical(simulate_reference(request), simulate(request),
+                             alg->name());
+  }
+}
+
+// --- Differential check: the fast path against the reference on random
+// --- traces. Covers what the scenario tests above do not combine: every
+// --- extended algorithm adopted and un-adopted, under every traffic
+// --- setting, at relay-pass bounds of 0 (every edge-bearing step
+// --- truncates), 1 and the default 128.
+
+TEST(Reference, RandomTracesMatchFastPath) {
+  std::mt19937_64 gen(20071024);
+  const auto below = [&gen](std::uint64_t bound) {
+    return static_cast<std::uint32_t>(gen() % bound);
+  };
+  const EvictionPolicy policies[] = {EvictionPolicy::kDropOldest,
+                                     EvictionPolicy::kDropLargestHop,
+                                     EvictionPolicy::kRandom};
+  for (int trial = 0; trial < 4; ++trial) {
+    const NodeId n = 4 + below(5);
+    // Bursts of random contacts separated by silent gaps.
+    std::vector<Contact> cs;
+    Seconds t = 0.0;
+    for (int burst = 0; burst < 4; ++burst, t += 150.0 + below(250)) {
+      for (int i = 0; i < 10; ++i) {
+        const NodeId a = below(n);
+        const NodeId b = (a + 1 + below(n - 1)) % n;
+        const Seconds start = t + below(80);
+        cs.push_back(Contact::make(a, b, start, start + 1.0 + below(30)));
+      }
     }
-    EXPECT_EQ(word.transmissions, scalar.transmissions) << alg->name();
+    const Fixture f(std::move(cs), n, t);
+    ASSERT_LT(f.graph.num_active_steps(), f.graph.num_steps());
+    std::vector<Message> msgs;
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      const NodeId src = below(n);
+      const NodeId dst = (src + 1 + below(n - 1)) % n;
+      msgs.push_back(msg(i, src, dst, below(static_cast<std::uint32_t>(t))));
+      msgs.back().size_bytes = 1 + below(3);
+    }
+    std::vector<Message> ttl_msgs = msgs;
+    for (Message& m : ttl_msgs) m.ttl = 40.0 + below(400);
+
+    // Settings: 0 unlimited, 1 TTL only, 2 finite budget, 3-5 a finite
+    // buffer under each eviction policy (with TTLs).
+    for (int setting = 0; setting < 6; ++setting) {
+      TrafficConfig traffic;
+      if (setting == 2) traffic.contact_budget_bytes = 3;
+      if (setting >= 3) {
+        traffic.buffer_capacity_bytes = 4;
+        traffic.eviction = policies[setting - 3];
+      }
+      const auto& messages = setting == 1 || setting >= 3 ? ttl_msgs : msgs;
+      for (const std::uint32_t passes : {0U, 1U, 128U}) {
+        for (const std::string& name : extended_algorithm_names()) {
+          for (const bool adopt : {false, true}) {
+            const auto alg = make_algorithm(name);
+            if (adopt) {
+              if (alg->shared_snapshot_key().empty()) continue;
+              alg->adopt_shared_snapshot(
+                  alg->build_shared_snapshot(f.graph, f.trace));
+            }
+            auto request = f.request(*alg, messages);
+            request.traffic = traffic;
+            request.max_relay_passes = passes;
+            request.seed = 100 + static_cast<std::uint64_t>(trial);
+            std::ostringstream label;
+            label << "trial " << trial << " setting " << setting
+                  << " passes " << passes << " " << name
+                  << (adopt ? " adopted" : "");
+            expect_results_identical(simulate_reference(request),
+                                     simulate(request), label.str());
+          }
+        }
+      }
+    }
   }
 }
 
@@ -1099,6 +1118,7 @@ TEST(Simulator, NullRequestFieldsThrow) {
   auto no_msgs = f.request(epidemic, msgs);
   no_msgs.messages = nullptr;
   EXPECT_THROW((void)simulate(no_msgs), std::invalid_argument);
+  EXPECT_THROW((void)simulate_reference(no_msgs), std::invalid_argument);
 }
 
 TEST(SimulationResultTest, Aggregates) {

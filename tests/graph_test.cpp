@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -109,6 +110,18 @@ TEST(SpaceTimeGraph, StepOfClampsAndFloors) {
   EXPECT_EQ(g.step_of(9.99), 0u);
   EXPECT_EQ(g.step_of(10.0), 1u);
   EXPECT_EQ(g.step_of(1e9), g.num_steps() - 1);
+}
+
+TEST(SpaceTimeGraph, StepOfClampsBeyondStepRange) {
+  // t / delta at or past 2^32 (and +inf) must clamp before any conversion
+  // to Step: the cast alone would be undefined behaviour.
+  const auto trace = make_trace({Contact::make(0, 1, 0.0, 1.0)}, 2, 100.0);
+  const SpaceTimeGraph g(trace, 10.0);
+  EXPECT_EQ(g.step_of(1e12), g.num_steps() - 1);
+  EXPECT_EQ(g.step_of(std::numeric_limits<double>::infinity()),
+            g.num_steps() - 1);
+  EXPECT_EQ(g.step_of(-std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(g.step_of(std::numeric_limits<double>::quiet_NaN()), 0u);
 }
 
 TEST(SpaceTimeGraph, StepEndTimes) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "psn/core/forwarding_study.hpp"
@@ -15,6 +14,7 @@
 #include "psn/engine/sweep.hpp"
 #include "psn/stats/cdf.hpp"
 #include "psn/synth/conference.hpp"
+#include "equivalence.hpp"
 
 namespace psn {
 namespace {
@@ -171,12 +171,12 @@ TEST(Integration, CityScaleSweepRunsEndToEnd) {
   EXPECT_EQ(fresh.truncated_relay_steps, 0u);
 
   // Equivalence at city scale: the sparse event timeline (the default
-  // above) must match the dense reference replay bit for bit, and stay
-  // thread-count invariant. The scenario handle keeps the dataset and
-  // graph cached, so these sweeps rebuild neither.
+  // above) must match the every-step reference simulator bit for bit,
+  // and stay thread-count invariant. The scenario handle keeps the
+  // dataset and graph cached, so these sweeps rebuild neither.
   engine::SweepOptions dense;
   dense.threads = 2;
-  dense.replay = forward::ReplayMode::kDense;
+  dense.reference = true;
   const auto reference = engine::run_sweep(plan, dense);
   std::vector<engine::SweepResult> sparse_results;
   for (const std::size_t threads : {1u, 8u}) {
@@ -184,22 +184,9 @@ TEST(Integration, CityScaleSweepRunsEndToEnd) {
     sparse.threads = threads;
     sparse_results.push_back(engine::run_sweep(plan, sparse));
   }
-  for (const auto& other :
-       {std::cref(result), std::cref(sparse_results[0]),
-        std::cref(sparse_results[1])}) {
-    ASSERT_EQ(other.get().cells.size(), reference.cells.size());
-    for (std::size_t c = 0; c < reference.cells.size(); ++c) {
-      const auto& a = reference.cells[c];
-      const auto& b = other.get().cells[c];
-      EXPECT_EQ(a.overall.delivered, b.overall.delivered);
-      EXPECT_EQ(a.overall.success_rate, b.overall.success_rate);
-      EXPECT_EQ(a.overall.average_delay, b.overall.average_delay);
-      EXPECT_EQ(a.overall.average_hops, b.overall.average_hops);
-      EXPECT_EQ(a.cost_per_message, b.cost_per_message);
-      EXPECT_EQ(a.delays, b.delays);
-      EXPECT_EQ(a.truncated_relay_steps, b.truncated_relay_steps);
-    }
-  }
+  test::expect_cells_identical(reference, result);
+  for (const engine::SweepResult& other : sparse_results)
+    test::expect_cells_identical(reference, other);
 }
 
 }  // namespace

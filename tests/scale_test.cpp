@@ -22,6 +22,7 @@
 #include "psn/forward/simulator.hpp"
 #include "psn/graph/space_time_graph.hpp"
 #include "psn/util/parallel.hpp"
+#include "equivalence.hpp"
 
 namespace psn::engine {
 namespace {
@@ -64,9 +65,10 @@ TEST(ScaleTiers, MetroShardedGraphBuildMatchesSerialByteForByte) {
 
 TEST(ScaleTiers, MetroSweepBitIdenticalAcrossThreadsAndKernels) {
   // metro_16k end to end through run_sweep: 1-thread vs 8-thread pools
-  // and word-parallel vs scalar flood kernels all land on bit-identical
-  // cells. The workload is small (a handful of messages) because the
-  // scalar-oracle leg is the expensive one at 16k nodes.
+  // and the word-parallel flood closure vs the reference simulator all
+  // land on bit-identical cells. The workload is small (a handful of
+  // messages) because the reference leg is the expensive one at 16k
+  // nodes.
   const auto& scenario = metro_scenario();
   PlanConfig config;
   config.runs = 1;
@@ -79,56 +81,21 @@ TEST(ScaleTiers, MetroSweepBitIdenticalAcrossThreadsAndKernels) {
   SweepOptions wide;
   wide.threads = 8;
   wide.intra_run_parallel = true;
-  SweepOptions scalar;
-  scalar.threads = 8;
-  scalar.flood_kernel = forward::FloodKernel::kScalar;
+  SweepOptions reference;
+  reference.threads = 8;
+  reference.reference = true;
 
   const auto a = run_sweep(plan, serial);
-  const auto b = run_sweep(plan, wide);
-  const auto c = run_sweep(plan, scalar);
   ASSERT_EQ(a.cells.size(), 1u);
-  for (const auto* other : {&b, &c}) {
-    ASSERT_EQ(other->cells.size(), 1u);
-    EXPECT_EQ(a.cells[0].overall.messages, other->cells[0].overall.messages);
-    EXPECT_EQ(a.cells[0].overall.delivered, other->cells[0].overall.delivered);
-    // Bit-identical, hence EXPECT_EQ on doubles — no tolerance.
-    EXPECT_EQ(a.cells[0].overall.success_rate,
-              other->cells[0].overall.success_rate);
-    EXPECT_EQ(a.cells[0].overall.average_delay,
-              other->cells[0].overall.average_delay);
-    EXPECT_EQ(a.cells[0].overall.average_hops,
-              other->cells[0].overall.average_hops);
-    EXPECT_EQ(a.cells[0].cost_per_message, other->cells[0].cost_per_message);
-  }
+  for (const SweepOptions& other : {wide, reference})
+    test::expect_cells_identical(a, run_sweep(plan, other));
   EXPECT_GT(a.cells[0].overall.delivered, 0u);
 }
 
-void expect_cells_match(const SweepResult& a, const SweepResult& b) {
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  for (std::size_t c = 0; c < a.cells.size(); ++c) {
-    EXPECT_EQ(a.cells[c].overall.messages, b.cells[c].overall.messages);
-    EXPECT_EQ(a.cells[c].overall.delivered, b.cells[c].overall.delivered);
-    // Bit-identical, hence EXPECT_EQ on doubles — no tolerance.
-    EXPECT_EQ(a.cells[c].overall.success_rate,
-              b.cells[c].overall.success_rate);
-    EXPECT_EQ(a.cells[c].overall.average_delay,
-              b.cells[c].overall.average_delay);
-    EXPECT_EQ(a.cells[c].overall.average_hops, b.cells[c].overall.average_hops);
-    EXPECT_EQ(a.cells[c].cost_per_message, b.cells[c].cost_per_message);
-    EXPECT_EQ(a.cells[c].truncated_relay_steps,
-              b.cells[c].truncated_relay_steps);
-    EXPECT_EQ(a.cells[c].expirations, b.cells[c].expirations);
-    EXPECT_EQ(a.cells[c].evictions, b.cells[c].evictions);
-    EXPECT_EQ(a.cells[c].drops, b.cells[c].drops);
-    EXPECT_EQ(a.cells[c].budget_blocked, b.cells[c].budget_blocked);
-    EXPECT_EQ(a.cells[c].buffer_rejections, b.cells[c].buffer_rejections);
-  }
-}
-
 TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
-  // city_2048: the holder-incident scan with shared observation
-  // snapshots (the defaults) vs the full-replay per-run-observation
-  // oracle, for an adopting single-copy algorithm and an adopting
+  // city_2048: the holder-incident relay with shared observation
+  // snapshots (the defaults) vs the full-scan per-run-observation
+  // reference, for an adopting single-copy algorithm and an adopting
   // replicator, at 1 and 8 threads.
   const auto scenario = make_scenario_by_name("city_2048");
   PlanConfig config;
@@ -139,8 +106,7 @@ TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
 
   SweepOptions oracle;
   oracle.threads = 8;
-  oracle.contact_scan = forward::ContactScan::kFull;
-  oracle.observation = ObservationMode::kPerRun;
+  oracle.reference = true;
   const auto reference = run_sweep(plan, oracle);
   ASSERT_EQ(reference.cells.size(), 2u);
   EXPECT_GT(reference.cells[0].overall.delivered +
@@ -149,17 +115,17 @@ TEST(ScaleTiers, CityNonFloodFastPathMatchesScalarOracleAcrossThreads) {
 
   for (const std::size_t threads : {1u, 8u}) {
     SweepOptions fast;
-    fast.threads = threads;  // kHolderIncident + kShared defaults.
-    expect_cells_match(reference, run_sweep(plan, fast));
+    fast.threads = threads;
+    test::expect_cells_identical(reference, run_sweep(plan, fast));
   }
 }
 
 TEST(ScaleTiers, MetroNonFloodFastPathMatchesScalarOracle) {
   // metro_16k is the tier the holder-incident replay exists for: the
-  // scalar oracle (full per-step scans + a 16k x 16k per-run FRESH
-  // table) is run once here as the reference; the fast path must match
-  // it bit for bit at 1 and 8 threads. Workload kept small — the oracle
-  // leg is the expensive one.
+  // reference simulator (full per-step scans + a 16k x 16k per-run FRESH
+  // table) is run once here; the fast path must match it bit for bit at
+  // 1 and 8 threads. Workload kept small — the reference leg is the
+  // expensive one.
   const auto& scenario = metro_scenario();
   PlanConfig config;
   config.runs = 1;
@@ -169,24 +135,22 @@ TEST(ScaleTiers, MetroNonFloodFastPathMatchesScalarOracle) {
 
   SweepOptions oracle;
   oracle.threads = 8;
-  oracle.contact_scan = forward::ContactScan::kFull;
-  oracle.observation = ObservationMode::kPerRun;
+  oracle.reference = true;
   const auto reference = run_sweep(plan, oracle);
   ASSERT_EQ(reference.cells.size(), 1u);
 
   for (const std::size_t threads : {1u, 8u}) {
     SweepOptions fast;
     fast.threads = threads;
-    expect_cells_match(reference, run_sweep(plan, fast));
+    test::expect_cells_identical(reference, run_sweep(plan, fast));
   }
 }
 
 TEST(ScaleTiers, MegacityBuildsAndCompletesAnEpidemicRun) {
   // The ceiling tier: 65 536 nodes must generate (sharded), discretize
   // (sharded CSR build), and carry an epidemic flood to completion with
-  // the word-parallel kernel. The scalar oracle is not run here — it is
-  // minutes at this scale; kernel equivalence is pinned at metro_16k and
-  // below.
+  // the word-parallel kernel. The reference simulator is not run here;
+  // equivalence is pinned at metro_16k and below.
   const util::ParallelFor pooled = parallel_for(shared_pool());
   const auto scenario = make_scenario_by_name("megacity_65k", pooled);
   ASSERT_TRUE(scenario.dataset != nullptr);

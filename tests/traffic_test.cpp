@@ -16,7 +16,9 @@
 #include "psn/core/forwarding_study.hpp"
 #include "psn/forward/algorithm_registry.hpp"
 #include "psn/forward/algorithms/epidemic.hpp"
+#include "psn/forward/reference.hpp"
 #include "psn/forward/simulator.hpp"
+#include "equivalence.hpp"
 
 namespace psn::forward {
 namespace {
@@ -56,38 +58,17 @@ Message msg(std::uint32_t id, NodeId src, NodeId dst, Seconds t,
   return m;
 }
 
-// Runs the request under both replay modes and asserts every observable —
-// outcomes (incl. expiry/drop flags) and all event counters — agrees
-// bit-for-bit: the dense oracle extended to traffic events.
+// Runs the request through simulate() and the every-step reference and
+// asserts every observable — outcomes (incl. expiry/drop flags) and all
+// event counters — agrees bit-for-bit.
 SimulationResult run_both_modes(const Fixture& f, ForwardingAlgorithm& alg,
                                 const std::vector<Message>& msgs,
                                 const TrafficConfig& traffic = {}) {
-  auto sparse = f.request(alg, msgs, traffic);
-  sparse.replay = ReplayMode::kSparse;
-  auto dense = f.request(alg, msgs, traffic);
-  dense.replay = ReplayMode::kDense;
-  const auto a = simulate(sparse);
-  const auto b = simulate(dense);
-  EXPECT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].delivered, b.outcomes[i].delivered)
-        << alg.name() << " message " << i;
-    EXPECT_EQ(a.outcomes[i].delay, b.outcomes[i].delay)
-        << alg.name() << " message " << i;
-    EXPECT_EQ(a.outcomes[i].hops, b.outcomes[i].hops)
-        << alg.name() << " message " << i;
-    EXPECT_EQ(a.outcomes[i].expired, b.outcomes[i].expired)
-        << alg.name() << " message " << i;
-    EXPECT_EQ(a.outcomes[i].dropped, b.outcomes[i].dropped)
-        << alg.name() << " message " << i;
-  }
-  EXPECT_EQ(a.transmissions, b.transmissions) << alg.name();
-  EXPECT_EQ(a.expirations, b.expirations) << alg.name();
-  EXPECT_EQ(a.evictions, b.evictions) << alg.name();
-  EXPECT_EQ(a.drops, b.drops) << alg.name();
-  EXPECT_EQ(a.budget_blocked, b.budget_blocked) << alg.name();
-  EXPECT_EQ(a.buffer_rejections, b.buffer_rejections) << alg.name();
-  return a;
+  const auto request = f.request(alg, msgs, traffic);
+  auto result = simulate(request);
+  test::expect_results_identical(result, simulate_reference(request),
+                                 alg.name());
+  return result;
 }
 
 // ---------------------------------------------------------------- TTL --
@@ -162,7 +143,7 @@ TEST(Ttl, ExpiryInsideSkippedGapHappensBeforeNextContact) {
 
 TEST(Ttl, ExpiryAfterLastContactStillCountsWithinWindow) {
   // TTL elapses after the last contact but inside the trace window: the
-  // final sweep must expire it (in both modes — the dense replay's
+  // final sweep must expire it (in both simulators — the reference's
   // trailing steps are contact-free no-ops too).
   const Fixture f({Contact::make(1, 2, 5.0, 8.0)}, 3, 300.0);
   EpidemicForwarding epidemic;
@@ -316,8 +297,8 @@ TEST(Buffer, RandomEvictionIsDeterministicInSeed) {
   traffic.buffer_capacity_bytes = 2;
   traffic.eviction = EvictionPolicy::kRandom;
   EpidemicForwarding epidemic;
-  // Dense and sparse agree (run_both_modes asserts it), and repeated runs
-  // with one seed are bit-identical.
+  // Fast path and reference agree (run_both_modes asserts it), and
+  // repeated runs with one seed are bit-identical.
   const auto a =
       run_both_modes(f, epidemic, relay_eviction_messages(), traffic);
   const auto b =
@@ -387,11 +368,11 @@ TEST(Budget, BudgetIsSharedAcrossDirections) {
   EXPECT_GE(r.budget_blocked, 1u);
 }
 
-// ------------------------------------- constrained dense/sparse sweeps --
+// ---------------------------------- constrained fast/reference sweeps --
 
 TEST(TrafficEquivalence, ConstrainedGapTraceMatchesDenseForAllAlgorithms) {
   // Bursts separated by dead gaps, finite budget AND buffer AND mixed
-  // TTLs: every algorithm must agree between replay modes on every
+  // TTLs: every algorithm must agree between the simulators on every
   // outcome flag and event counter (run_both_modes asserts all of it).
   std::vector<Contact> cs;
   for (int burst = 0; burst < 4; ++burst) {
