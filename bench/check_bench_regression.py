@@ -6,8 +6,10 @@ Two classes of check, with very different trust levels:
 
 * Machine-independent metrics are gated strictly: graph arena
   bytes/contact (deterministic layout), success rates (deterministic
-  seeds), and scenario coverage (a tier disappearing from a section is a
-  regression even if everything left got faster). The fast-vs-oracle
+  seeds), the contended-traffic counts (messages offered, success, drop
+  and expiry rates, evictions, budget blocks), and scenario coverage (a
+  tier disappearing from a section is a regression even if everything
+  left got faster). The fast-vs-oracle
   ratios are also machine-independent in the sense that both legs ran in
   the *same* process on the same machine — the fresh file alone must
   show the fast path no slower than the reference-simulator oracle
@@ -284,6 +286,51 @@ def check_serve(gate, fresh, baseline, wall_tol):
             )
 
 
+def traffic_points(section):
+    return {(p["scenario"], p["rate_multiplier"]): p for p in section}
+
+
+def check_traffic(gate, fresh, baseline, wall_tol):
+    fresh_pts = traffic_points(fresh.get("traffic", []))
+    base_pts = traffic_points(baseline.get("traffic", []))
+    gate.coverage(
+        "traffic",
+        [f"{s} x{m:g}" for s, m in base_pts],
+        {f"{s} x{m:g}" for s, m in fresh_pts},
+    )
+    for key, fp in fresh_pts.items():
+        bp = base_pts.get(key)
+        if bp is None:
+            continue
+        name = f"traffic/{key[0]} x{key[1]:g}"
+        # Seeded workloads under fixed limits: every count is a property
+        # of the simulator, not of the machine.
+        base_algos = {a["name"]: a for a in bp.get("algorithms", [])}
+        for algo in fp.get("algorithms", []):
+            ba = base_algos.get(algo["name"])
+            if ba is None:
+                continue
+            for metric in ("messages_offered", "evictions", "budget_blocked"):
+                gate.check(
+                    algo.get(metric) == ba.get(metric),
+                    f"{name}/{algo['name']}: {metric} changed "
+                    f"{ba.get(metric)} -> {algo.get(metric)}",
+                )
+            for metric in ("success_rate", "drop_rate", "expiry_rate"):
+                gate.check(
+                    abs(algo.get(metric, 0) - ba.get(metric, 0))
+                    <= SUCCESS_RATE_TOLERANCE,
+                    f"{name}/{algo['name']}: {metric} changed "
+                    f"{ba.get(metric)} -> {algo.get(metric)}",
+                )
+        if wall_tol is not None and bp.get("wall_seconds", 0) > 0:
+            gate.check(
+                fp.get("wall_seconds", 0) <= bp["wall_seconds"] * wall_tol,
+                f"{name}: wall {fp.get('wall_seconds', 0):.3f}s vs baseline "
+                f"{bp['wall_seconds']:.3f}s (> {wall_tol}x)",
+            )
+
+
 def check_sweep_matrix(gate, fresh, baseline, wall_tol):
     if wall_tol is None:
         return
@@ -334,6 +381,7 @@ def main():
     check_path_explosion(gate, fresh, baseline, wall_tol)
     check_model(gate, fresh, baseline, wall_tol)
     check_serve(gate, fresh, baseline, wall_tol)
+    check_traffic(gate, fresh, baseline, wall_tol)
     check_sweep_matrix(gate, fresh, baseline, wall_tol)
 
     if gate.failures:

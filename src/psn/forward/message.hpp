@@ -57,9 +57,12 @@ struct SimulationResult {
   /// leaves open; our cost-extension benches report it per algorithm.
   std::uint64_t transmissions = 0;
   /// Steps whose within-step relay fixpoint was cut off by
-  /// SimulationRequest::max_relay_passes while still making progress.
-  /// Nonzero means forwarding chains were silently truncated; the
-  /// paper-scale integration tests assert this stays zero.
+  /// SimulationRequest::max_relay_passes: the last pass still moved a
+  /// copy. Unconstrained, that means a forwarding chain longer than the
+  /// bound was cut short (the paper-scale integration tests assert this
+  /// stays zero). Under bounded buffers it is usually an eviction
+  /// livelock instead: copies keep evicting each other, and no number of
+  /// passes reaches a fixpoint.
   std::uint64_t truncated_relay_steps = 0;
   /// Messages whose TTL elapsed undelivered (outcome.expired count).
   std::uint64_t expirations = 0;

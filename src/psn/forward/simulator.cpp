@@ -1,9 +1,11 @@
 #include "psn/forward/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -55,6 +57,15 @@ using WorkEdge = detail::SimulatorState::WorkEdge;
 
 constexpr std::uint32_t kNotFound = std::numeric_limits<std::uint32_t>::max();
 
+/// Every SimulationResult counter: what a fast-forwarded relay pass adds.
+constexpr std::uint64_t SimulationResult::*kCounters[] = {
+    &SimulationResult::transmissions,  &SimulationResult::truncated_relay_steps,
+    &SimulationResult::expirations,    &SimulationResult::evictions,
+    &SimulationResult::drops,          &SimulationResult::budget_blocked,
+    &SimulationResult::buffer_rejections};
+static_assert(kCounters[0] == &SimulationResult::transmissions);
+using CounterValues = std::array<std::uint64_t, std::size(kCounters)>;
+
 std::uint16_t saturate_hops(std::uint32_t hops) {
   return static_cast<std::uint16_t>(std::min<std::uint32_t>(hops, 0xFFFF));
 }
@@ -104,6 +115,13 @@ struct SimulationRun {
   /// contact), and at least one relay pass (a zero-pass run counts every
   /// edge-bearing step as truncated, visited or not).
   bool holder_incident = false;
+  /// Every decision of a relay pass is a function of the residents (in
+  /// order, with hops) of the worklist endpoints at the pass start, so a
+  /// pass that returns to that state repeats itself to the pass bound and
+  /// is fast-forwarded (DESIGN.md §8, "Livelocked relay steps"). Holds for
+  /// the flood class (forwards unconditionally) without contact budgets
+  /// (no check can fail) or random eviction (draws from the RNG).
+  bool passes_repeat = false;
   util::Rng rng{request.seed};
   SimulationResult result{};
   std::size_t next_activation = 0;
@@ -123,6 +141,9 @@ struct SimulationRun {
     observes = algorithm.observes_contacts();
     flooding = algorithm.replicates() && quota == 0 && traffic.unconstrained();
     holder_incident = !flooding && !observes && request.max_relay_passes > 0;
+    passes_repeat = algorithm.replicates() && quota == 0 &&
+                    !traffic.budget_limited() &&
+                    traffic.eviction != EvictionPolicy::kRandom;
 
     schedule_messages();
     reset_state();
@@ -197,6 +218,8 @@ struct SimulationRun {
       std::fill_n(ws.holder_count.begin(), n, std::uint32_t{0});
       if (ws.node_stamp.size() < n) ws.node_stamp.resize(n, 0);
     }
+    if (passes_repeat && ws.record_stamp.size() < n)
+      ws.record_stamp.resize(n, 0);
   }
 
   /// One visited step: expiry, activation, contact observation, then the
@@ -555,19 +578,63 @@ struct SimulationRun {
     // Every delivery or transfer is one transmission, so a pass that adds
     // none is the fixpoint. Truncation is counted, not silent.
     bool converged = false;
+    CounterValues before{};
     for (std::uint32_t pass = 0; pass < request.max_relay_passes; ++pass) {
-      const std::uint64_t before = result.transmissions;
+      if (passes_repeat && pass > 0) {
+        // A pass that ended where it started will repeat unchanged for
+        // every pass left: add its deltas that many times instead. The
+        // first record of a step is taken before pass 1, so from pass 2
+        // on last_pass_record holds the previous pass's.
+        record_pass_start(ws.pass_record);
+        if (pass > 1 && ws.pass_record == ws.last_pass_record) {
+          repeat_last_pass(request.max_relay_passes - pass, before);
+          break;
+        }
+        std::swap(ws.pass_record, ws.last_pass_record);
+      }
+      for (std::size_t i = 0; i < before.size(); ++i)
+        before[i] = result.*kCounters[i];
       for (std::size_t ei = 0; ei < work.size(); ++ei) {
         // Endpoints are re-read after each relay: a splice may shift the
         // current entry.
         relay_direction(work[ei].a, work[ei].b, ei);
         relay_direction(work[ei].b, work[ei].a, ei);
       }
-      converged = result.transmissions == before;
+      converged = result.transmissions == before[0];
       if (converged) break;
     }
     if (!converged) ++result.truncated_relay_steps;
     if (holder_incident) rearm_holders();
+  }
+
+  /// Writes the state a relay pass starts from: for each distinct
+  /// worklist endpoint, in worklist order, its id, its live-resident
+  /// count, then each live resident's id and hops in arrival order.
+  void record_pass_start(std::vector<std::uint32_t>& record) {
+    record.clear();
+    const std::uint64_t seen = ++ws.stamp_gen;
+    for (const WorkEdge& e : ws.work) {
+      for (const NodeId v : {e.a, e.b}) {
+        if (ws.record_stamp[v] == seen) continue;
+        ws.record_stamp[v] = seen;
+        record.push_back(v);
+        const std::size_t count_at = record.size();
+        record.push_back(0);
+        for (const std::uint32_t id : ws.at_node[v]) {
+          const auto& st = ws.states[id];
+          if (st.delivered || st.expired || !st.holders.test(v)) continue;
+          record.push_back(id);
+          record.push_back(st.hops[v]);
+          ++record[count_at];
+        }
+      }
+    }
+  }
+
+  /// Adds `passes` more repeats of the pass that started from `before`.
+  void repeat_last_pass(std::uint64_t passes, const CounterValues& before) {
+    for (std::size_t i = 0; i < before.size(); ++i)
+      result.*kCounters[i] += passes * (result.*kCounters[i] - before[i]);
   }
 
   /// Relays x's messages to y across worklist entry `ei` (advanced past
@@ -777,7 +844,7 @@ struct SimulationRun {
       // is the canonical arrival order, which keeps victim draws and
       // algorithm callbacks subset-invariant.
       list.erase(list.begin() + static_cast<std::ptrdiff_t>(victim));
-      if (vst.holders.count() == 0) {
+      if (vst.holders.empty()) {
         vst.dropped = true;
         result.outcomes[vid].dropped = true;
         ++result.drops;

@@ -20,7 +20,10 @@
 // Within one step the simulator relays to a fixpoint: a forwarding chain
 // can cross several contact edges in one step (the zero-weight closure of
 // §4.1), which is what makes Epidemic achieve exactly the optimal
-// delivery time T(sigma, delta, t1).
+// delivery time T(sigma, delta, t1). Under bounded buffers Epidemic's
+// copies can evict each other forever; a relay pass that ends in the
+// state it started from is fast-forwarded to the pass bound, exactly
+// (DESIGN.md §8, "Livelocked relay steps").
 //
 // Traffic semantics (DESIGN.md §8):
 //  * TTL — a message is live during step s iff its expiry time
@@ -145,6 +148,12 @@ struct SimulatorState {
   std::vector<std::uint64_t> node_stamp;
   std::uint64_t stamp_gen = 0;
   std::vector<std::uint64_t> heap;
+  /// Livelock detection on the relay path: the endpoint-dedupe stamps
+  /// and the last two relay-pass start records (flood-class algorithms
+  /// under bounded buffers only).
+  std::vector<std::uint64_t> record_stamp;
+  std::vector<std::uint32_t> pass_record;
+  std::vector<std::uint32_t> last_pass_record;
   /// Per-step contact components (masks + nonzero-word lists) for the
   /// flood closure.
   graph::StepComponentScratch components;

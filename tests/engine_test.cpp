@@ -582,6 +582,35 @@ TEST(Sweep, HolderIncidentSharedObservationMatchesOracleUnderTraffic) {
   expect_cells_identical(run_sweep(plan, oracle), run_sweep(plan, fast));
 }
 
+// Contended Epidemic livelocks: tight drop-oldest buffers make copies
+// evict each other around contact cycles until the relay-pass bound. The
+// fast path fast-forwards the repeating passes; the reference replays
+// every one, at either thread count.
+TEST(Sweep, LivelockedRelayMatchesReferenceAcrossThreads) {
+  const auto ds = small_dataset(37);
+  PlanConfig config;
+  config.runs = 2;
+  config.master_seed = 17;
+  config.message_rate = 0.2;
+  config.traffic.buffer_capacity_bytes = 3;
+  config.traffic.eviction = forward::EvictionPolicy::kDropOldest;
+  const auto plan = make_plan({make_scenario(ds)}, {"Epidemic"}, config);
+
+  for (const std::size_t threads : {1U, 8U}) {
+    SCOPED_TRACE(threads);
+    SweepOptions oracle;
+    oracle.threads = threads;
+    oracle.reference = true;
+    SweepOptions fast;
+    fast.threads = threads;
+    const auto expected = run_sweep(plan, oracle);
+    expect_cells_identical(expected, run_sweep(plan, fast));
+    // A sweep with no truncated step never reaches the fast-forward.
+    ASSERT_EQ(expected.cells.size(), 1u);
+    EXPECT_GT(expected.cells[0].truncated_relay_steps, 0u);
+  }
+}
+
 // The refactored forwarding study rides the engine; its output must not
 // depend on the thread count either.
 TEST(ForwardingStudy, ThreadCountInvariant) {

@@ -1107,6 +1107,106 @@ TEST(Reference, RandomTracesMatchFastPath) {
   }
 }
 
+// --- Livelocked relay steps: under bounded buffers, Epidemic's copies can
+// --- evict each other around a contact cycle until the pass bound. The
+// --- fast path stops replaying a pass that ends where it started and adds
+// --- its deltas for the passes left; the reference runs every pass.
+
+TEST(Reference, LivelockFastForwardMatchesReference) {
+  struct Case {
+    const char* label;
+    const char* algorithm;
+    EvictionPolicy eviction;
+    std::uint64_t budget;
+    bool fast_forwards;
+  };
+  const Case cases[] = {
+      {"drop-oldest", "Epidemic", EvictionPolicy::kDropOldest,
+       TrafficConfig::kUnlimited, true},
+      {"drop-largest-hop", "Epidemic", EvictionPolicy::kDropLargestHop,
+       TrafficConfig::kUnlimited, true},
+      // Controls: the fast-forward must not engage (random eviction draws
+      // from the RNG; a budget runs out; quota schemes are not the flood
+      // class) and the results must match all the same.
+      {"random", "Epidemic", EvictionPolicy::kRandom,
+       TrafficConfig::kUnlimited, false},
+      {"budget", "Epidemic", EvictionPolicy::kDropOldest, 6, false},
+      {"spray", "Spray+Wait", EvictionPolicy::kDropOldest,
+       TrafficConfig::kUnlimited, false},
+  };
+  std::uint64_t gated_truncated = 0;
+  const auto expect_every_case_matches =
+      [&](const Fixture& f, const std::vector<Message>& msgs,
+          std::uint64_t capacity, std::uint64_t seed) {
+        for (const Case& c : cases) {
+          for (const std::uint32_t passes : {2U, 3U, 17U, 128U}) {
+            const auto alg = make_algorithm(c.algorithm);
+            auto request = f.request(*alg, msgs);
+            request.traffic.buffer_capacity_bytes = capacity;
+            request.traffic.contact_budget_bytes = c.budget;
+            request.traffic.eviction = c.eviction;
+            request.max_relay_passes = passes;
+            request.seed = seed;
+            const SimulationResult fast = simulate(request);
+            std::ostringstream label;
+            label << "seed " << seed << " " << c.label << " passes "
+                  << passes;
+            expect_results_identical(simulate_reference(request), fast,
+                                     label.str());
+            if (c.fast_forwards) gated_truncated += fast.truncated_relay_steps;
+          }
+        }
+      };
+
+  std::mt19937_64 gen(20070827);
+  const auto below = [&gen](std::uint64_t bound) {
+    return static_cast<std::uint32_t>(gen() % bound);
+  };
+  for (int trial = 0; trial < 30; ++trial) {
+    const NodeId n = 5 + below(4);
+    // Long, overlapping contacts: many steps hold contact cycles.
+    std::vector<Contact> cs;
+    for (int i = 0; i < 14; ++i) {
+      const NodeId a = below(n);
+      const NodeId b = (a + 1 + below(n - 1)) % n;
+      const Seconds start = below(60);
+      cs.push_back(Contact::make(a, b, start, start + 20.0 + below(60)));
+    }
+    const Fixture f(std::move(cs), n, 150.0);
+    std::vector<Message> msgs;
+    for (std::uint32_t i = 0; i < 40 + below(20); ++i) {
+      const NodeId src = below(n);
+      const NodeId dst = (src + 1 + below(n - 1)) % n;
+      msgs.push_back(msg(i, src, dst, below(90)));
+    }
+    const std::uint64_t capacity = 2 + below(2);
+    expect_every_case_matches(f, msgs, capacity,
+                              300 + static_cast<std::uint64_t>(trial));
+  }
+
+  // A step that is not a cycle although its residents return as a set:
+  // under drop-largest-hop, message 2 cycles through node 3 and its hop
+  // count there grows by two per pass, and the residents of node 3 swap
+  // order between passes 1 and 2. A record that ignored order or hops
+  // would fast-forward it and deliver message 2 with too few hops.
+  const Fixture f(
+      {
+          Contact::make(0, 2, 222.0, 253.0),
+          Contact::make(2, 1, 103.0, 125.0),
+          Contact::make(2, 3, 199.0, 233.0),
+          Contact::make(1, 4, 196.0, 207.0),
+          Contact::make(2, 4, 126.0, 160.0),
+          Contact::make(4, 3, 192.0, 218.0),
+      },
+      5, 420.0);
+  expect_every_case_matches(f,
+                            {msg(0, 2, 0, 207.0), msg(1, 4, 1, 148.0),
+                             msg(2, 2, 0, 192.0), msg(3, 0, 3, 194.0),
+                             msg(4, 4, 3, 0.0), msg(5, 1, 0, 162.0)},
+                            2, 1217);
+  EXPECT_GT(gated_truncated, 0u);
+}
+
 TEST(Simulator, NullRequestFieldsThrow) {
   const Fixture f({Contact::make(0, 1, 0.0, 5.0)}, 2, 60.0);
   EpidemicForwarding epidemic;
