@@ -1,7 +1,8 @@
-// ErrorSlot: first-exception capture for thread-pool fan-outs. Tasks call
-// capture() from a catch-all; the submitting thread rethrows after
-// wait_idle(). Shared by the forwarding sweep (sweep.cpp) and the path
-// sweep (path_sweep.cpp).
+// ErrorSlot: first-exception capture for fan-outs submitted to a
+// ThreadPool directly. Tasks call capture() from a catch-all; the
+// submitting thread rethrows after the pool's wait_idle(). The engine
+// sweeps do not need it: a TaskGroup (thread_pool.hpp) captures its own
+// tasks' exceptions and rethrows from wait().
 
 #pragma once
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/model/workspace.hpp"
 #include "psn/stats/summary.hpp"
@@ -148,7 +147,6 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
 
   const std::size_t num_scenarios = plan.scenarios.size();
   const std::size_t replicas = plan.config.jump_replicas;
@@ -164,39 +162,6 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   };
   std::vector<model::HeterogeneousPopulation> populations(num_scenarios);
   std::vector<std::vector<PairSample>> pairs(num_scenarios);
-  for (std::size_t s = 0; s < num_scenarios; ++s) {
-    if (plan.scenarios[s].mc.messages == 0) continue;
-    pool.submit([&plan, &populations, &pairs, &errors, master, s] {
-      try {
-        const model::HeterogeneousMcConfig& config = plan.scenarios[s].mc;
-        util::Rng population_rng(model_mc_population_seed(master, s));
-        populations[s] =
-            model::make_heterogeneous_population(config, population_rng);
-        util::Rng pair_rng(model_mc_pair_seed(master, s));
-        const std::size_t n = config.population;
-        pairs[s].reserve(config.messages);
-        for (std::size_t m = 0; m < config.messages; ++m) {
-          PairSample pair;
-          pair.source =
-              static_cast<std::size_t>(pair_rng.uniform_index(n));
-          pair.destination =
-              static_cast<std::size_t>(pair_rng.uniform_index(n - 1));
-          if (pair.destination >= pair.source) ++pair.destination;
-          pairs[s].push_back(pair);
-        }
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_set();
-
-  // Phase 2: the replica/message matrix. Each task is self-contained —
-  // it seeds its own substream from (master, scenario, slot), reads only
-  // immutable shared inputs, and writes into its slot, so nothing
-  // depends on scheduling order. One ModelWorkspace per worker thread:
-  // the O(N) state vectors are reused across every unit the thread runs.
   std::vector<std::vector<std::vector<model::JumpSample>>> jump_runs(
       num_scenarios);
   std::vector<std::vector<model::JumpRunTelemetry>> jump_telemetry(
@@ -204,6 +169,37 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   std::vector<std::vector<double>> jump_walls(num_scenarios);
   std::vector<std::vector<model::McMessageResult>> mc_results(num_scenarios);
   std::vector<std::vector<double>> mc_walls(num_scenarios);
+  // One group for every task of this call: each phase waits on this
+  // sweep's own tasks only, so the pool may be shared with concurrent
+  // engine calls. Declared after the state the tasks write.
+  TaskGroup tasks(pool);
+  for (std::size_t s = 0; s < num_scenarios; ++s) {
+    if (plan.scenarios[s].mc.messages == 0) continue;
+    tasks.submit([&plan, &populations, &pairs, master, s] {
+      const model::HeterogeneousMcConfig& config = plan.scenarios[s].mc;
+      util::Rng population_rng(model_mc_population_seed(master, s));
+      populations[s] =
+          model::make_heterogeneous_population(config, population_rng);
+      util::Rng pair_rng(model_mc_pair_seed(master, s));
+      const std::size_t n = config.population;
+      pairs[s].reserve(config.messages);
+      for (std::size_t m = 0; m < config.messages; ++m) {
+        PairSample pair;
+        pair.source = static_cast<std::size_t>(pair_rng.uniform_index(n));
+        pair.destination =
+            static_cast<std::size_t>(pair_rng.uniform_index(n - 1));
+        if (pair.destination >= pair.source) ++pair.destination;
+        pairs[s].push_back(pair);
+      }
+    });
+  }
+  tasks.wait();
+
+  // Phase 2: the replica/message matrix. Each task is self-contained —
+  // it seeds its own substream from (master, scenario, slot), reads only
+  // immutable shared inputs, and writes into its slot, so nothing
+  // depends on scheduling order. One ModelWorkspace per worker thread:
+  // the O(N) state vectors are reused across every unit the thread runs.
   for (std::size_t s = 0; s < num_scenarios; ++s) {
     jump_runs[s].resize(replicas);
     jump_telemetry[s].resize(replicas);
@@ -214,42 +210,33 @@ ModelSweepResult run_model_sweep(const ModelSweepPlan& plan,
   }
   for (std::size_t s = 0; s < num_scenarios; ++s) {
     for (std::size_t r = 0; r < replicas; ++r) {
-      pool.submit([&plan, &jump_runs, &jump_telemetry, &jump_walls, &errors,
-                   master, s, r] {
-        try {
-          const auto start = Clock::now();
-          model::JumpSimConfig config = plan.scenarios[s].jump;
-          config.seed = model_jump_replica_seed(master, s, r);
-          thread_local model::ModelWorkspace workspace;
-          model::JumpRunTelemetry telemetry;
-          jump_runs[s][r] =
-              model::run_jump_simulation(config, workspace, &telemetry);
-          jump_telemetry[s][r] = telemetry;
-          jump_walls[s][r] = seconds_since(start);
-        } catch (...) {
-          errors.capture();
-        }
+      tasks.submit([&plan, &jump_runs, &jump_telemetry, &jump_walls, master,
+                    s, r] {
+        const auto start = Clock::now();
+        model::JumpSimConfig config = plan.scenarios[s].jump;
+        config.seed = model_jump_replica_seed(master, s, r);
+        thread_local model::ModelWorkspace workspace;
+        model::JumpRunTelemetry telemetry;
+        jump_runs[s][r] =
+            model::run_jump_simulation(config, workspace, &telemetry);
+        jump_telemetry[s][r] = telemetry;
+        jump_walls[s][r] = seconds_since(start);
       });
     }
     for (std::size_t m = 0; m < plan.scenarios[s].mc.messages; ++m) {
-      pool.submit([&plan, &populations, &pairs, &mc_results, &mc_walls,
-                   &errors, master, s, m] {
-        try {
-          const auto start = Clock::now();
-          util::Rng rng(model_mc_message_seed(master, s, m));
-          thread_local model::ModelWorkspace workspace;
-          mc_results[s][m] = model::simulate_mc_message(
-              populations[s], plan.scenarios[s].mc, pairs[s][m].source,
-              pairs[s][m].destination, rng, workspace.mc_state);
-          mc_walls[s][m] = seconds_since(start);
-        } catch (...) {
-          errors.capture();
-        }
+      tasks.submit([&plan, &populations, &pairs, &mc_results, &mc_walls,
+                    master, s, m] {
+        const auto start = Clock::now();
+        util::Rng rng(model_mc_message_seed(master, s, m));
+        thread_local model::ModelWorkspace workspace;
+        mc_results[s][m] = model::simulate_mc_message(
+            populations[s], plan.scenarios[s].mc, pairs[s][m].source,
+            pairs[s][m].destination, rng, workspace.mc_state);
+        mc_walls[s][m] = seconds_since(start);
       });
     }
   }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  tasks.wait();
 
   // Phase 3: aggregation, single-threaded in slot order (replica-major,
   // then message) — deterministic regardless of completion order.

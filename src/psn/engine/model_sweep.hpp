@@ -104,7 +104,8 @@ struct ModelSweepOptions {
   /// `pool` is set.
   std::size_t threads = 0;
   /// Execute on this caller-owned pool instead of a private one (the
-  /// psn_serve batching hook; see SweepOptions::pool).
+  /// psn_serve batching hook; see SweepOptions::pool). Concurrent calls
+  /// may share the pool; none may be entered from inside its tasks.
   ThreadPool* pool = nullptr;
   /// Retain the raw per-message MC results in the cells (the quadrant
   /// summary is always computed; large sweeps switch this off to bound

@@ -7,7 +7,6 @@
 
 #include "psn/core/workload.hpp"
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/thread_pool.hpp"
 
@@ -17,29 +16,23 @@ namespace {
 
 /// Submits one task per message: enumerate into the slot-addressed
 /// `results[i]`, accumulating the per-message wall into `walls[i]`.
-/// Callers wait_idle() and rethrow before reading either.
-void submit_sample(ThreadPool& pool, ErrorSlot& errors,
-                   const paths::KPathEnumerator& enumerator,
+/// Callers wait on `tasks` before reading either.
+void submit_sample(TaskGroup& tasks, const paths::KPathEnumerator& enumerator,
                    const std::vector<paths::MessageSpec>& messages,
                    std::vector<paths::EnumerationResult>& results,
                    std::vector<double>* walls) {
   for (std::size_t i = 0; i < messages.size(); ++i) {
-    pool.submit([&enumerator, &messages, &results, walls, &errors, i] {
-      try {
-        const auto start = Clock::now();
-        const paths::MessageSpec& m = messages[i];
-        // One workspace per worker thread, reused across every message
-        // the thread enumerates: the sweep's steady state allocates
-        // nothing. Workspaces never influence results (paths_test's
-        // workspace-reuse equivalence).
-        thread_local paths::EnumeratorWorkspace workspace;
-        results[i] =
-            enumerator.enumerate(m.source, m.destination, m.t_start,
-                                 workspace);
-        if (walls != nullptr) (*walls)[i] = seconds_since(start);
-      } catch (...) {
-        errors.capture();
-      }
+    tasks.submit([&enumerator, &messages, &results, walls, i] {
+      const auto start = Clock::now();
+      const paths::MessageSpec& m = messages[i];
+      // One workspace per worker thread, reused across every message the
+      // thread enumerates: the sweep's steady state allocates nothing.
+      // Workspaces never influence results (paths_test's workspace-reuse
+      // equivalence).
+      thread_local paths::EnumeratorWorkspace workspace;
+      results[i] =
+          enumerator.enumerate(m.source, m.destination, m.t_start, workspace);
+      if (walls != nullptr) (*walls)[i] = seconds_since(start);
     });
   }
 }
@@ -66,7 +59,6 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
 
   // Phase 1: shared read-only inputs — one immutable ScenarioContext
   // (dataset + space-time graph) per scenario from the process-wide cache
@@ -77,21 +69,25 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
   std::vector<std::shared_ptr<const ScenarioContext>> contexts(
       plan.scenarios.size());
   std::vector<std::vector<paths::MessageSpec>> samples(plan.scenarios.size());
+  std::vector<paths::KPathEnumerator> enumerators;
+  enumerators.reserve(plan.scenarios.size());
+  std::vector<std::vector<paths::EnumerationResult>> results(
+      plan.scenarios.size());
+  std::vector<std::vector<double>> walls(plan.scenarios.size());
+  // One group for every task of this call: each phase waits on this
+  // sweep's own tasks only, so the pool may be shared with concurrent
+  // engine calls. Declared after the state the tasks write.
+  TaskGroup tasks(pool);
   for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    pool.submit([&plan, &contexts, &samples, &errors, s] {
-      try {
-        const Scenario& scenario = plan.scenarios[s];
-        contexts[s] = ScenarioContextCache::instance().acquire(scenario);
-        samples[s] = core::uniform_message_sample(
-            scenario.dataset->trace.num_nodes(), plan.config.messages,
-            scenario.dataset->message_horizon, plan.config.seed);
-      } catch (...) {
-        errors.capture();
-      }
+    tasks.submit([&plan, &contexts, &samples, s] {
+      const Scenario& scenario = plan.scenarios[s];
+      contexts[s] = ScenarioContextCache::instance().acquire(scenario);
+      samples[s] = core::uniform_message_sample(
+          scenario.dataset->trace.num_nodes(), plan.config.messages,
+          scenario.dataset->message_horizon, plan.config.seed);
     });
   }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  tasks.wait();
 
   // Phase 2: the message matrix. Each task is self-contained — it reads
   // its message spec and the scenario's shared context, and writes into
@@ -100,21 +96,14 @@ PathSweepResult run_path_sweep(const PathSweepPlan& plan,
   ec.k = plan.config.k;
   ec.record_paths = plan.config.record_paths;
   ec.replay = options.replay;
-  std::vector<paths::KPathEnumerator> enumerators;
-  enumerators.reserve(plan.scenarios.size());
-  std::vector<std::vector<paths::EnumerationResult>> results(
-      plan.scenarios.size());
-  std::vector<std::vector<double>> walls(plan.scenarios.size());
   for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
     enumerators.emplace_back(*contexts[s]->graph, ec);
     results[s].resize(samples[s].size());
     walls[s].assign(samples[s].size(), 0.0);
   }
   for (std::size_t s = 0; s < plan.scenarios.size(); ++s)
-    submit_sample(pool, errors, enumerators[s], samples[s], results[s],
-                  &walls[s]);
-  pool.wait_idle();
-  errors.rethrow_if_set();
+    submit_sample(tasks, enumerators[s], samples[s], results[s], &walls[s]);
+  tasks.wait();
 
   // Phase 3: aggregation, single-threaded in plan order.
   PathSweepResult out;
@@ -144,12 +133,11 @@ std::vector<paths::EnumerationResult> enumerate_sample(
   const std::size_t workers =
       threads == 0 ? ThreadPool::hardware_threads() : threads;
   ThreadPool pool(workers);
-  ErrorSlot errors;
   const paths::KPathEnumerator enumerator(graph, config);
   std::vector<paths::EnumerationResult> results(messages.size());
-  submit_sample(pool, errors, enumerator, messages, results, nullptr);
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  TaskGroup tasks(pool);
+  submit_sample(tasks, enumerator, messages, results, nullptr);
+  tasks.wait();
   return results;
 }
 

@@ -57,7 +57,8 @@ struct PathSweepOptions {
   /// `pool` is set.
   std::size_t threads = 0;
   /// Execute on this caller-owned pool instead of a private one (the
-  /// psn_serve batching hook; see SweepOptions::pool).
+  /// psn_serve batching hook; see SweepOptions::pool). Concurrent calls
+  /// may share the pool; none may be entered from inside its tasks.
   ThreadPool* pool = nullptr;
   /// Step sequence each enumeration replays. kSparse (default) walks only
   /// the graph's event timeline; kDense replays every step — bit-identical

@@ -99,7 +99,8 @@ void ScenarioContextCache::reaccount(const ScenarioContext& context) {
 }
 
 std::shared_ptr<const ScenarioContext> ScenarioContextCache::acquire(
-    const Scenario& scenario, const util::ParallelFor* parallel) {
+    const Scenario& scenario, const util::ParallelFor* parallel,
+    bool* built) {
   if (!scenario.dataset)
     throw std::invalid_argument(
         "ScenarioContextCache::acquire: scenario without dataset");
@@ -129,13 +130,15 @@ std::shared_ptr<const ScenarioContext> ScenarioContextCache::acquire(
   // parallel; same-key callers serialize on the entry and all but one
   // find the context already present.
   util::LockGuard lock(entry->mu);
-  return find_or_build_in_entry(scenario, *entry, parallel);
+  return find_or_build_in_entry(scenario, *entry, parallel, built);
 }
 
 std::shared_ptr<const ScenarioContext>
 ScenarioContextCache::find_or_build_in_entry(const Scenario& scenario,
                                              Entry& entry,
-                                             const util::ParallelFor* parallel) {
+                                             const util::ParallelFor* parallel,
+                                             bool* built) {
+  if (built != nullptr) *built = false;
   if (auto context = entry.context.lock()) {
     util::LockGuard stats_lock(mu_);
     ++hits_;
@@ -163,6 +166,7 @@ ScenarioContextCache::find_or_build_in_entry(const Scenario& scenario,
           : std::make_shared<const graph::SpaceTimeGraph>(
                 scenario.dataset->trace, scenario.delta);
   graphs_built_.fetch_add(1, std::memory_order_relaxed);
+  if (built != nullptr) *built = true;
   entry.context = context;
   {
     util::LockGuard stats_lock(mu_);

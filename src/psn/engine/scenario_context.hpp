@@ -121,9 +121,12 @@ class ScenarioContextCache {
   /// When `parallel` is non-null a cache miss runs the sharded graph
   /// build on it (arenas byte-identical to the serial build, so callers
   /// sharing a cache entry need not agree on an executor); null builds
-  /// serially.
+  /// serially. When `built` is non-null it is set to whether this call
+  /// built the context (a miss) rather than found it (a hit) — unlike a
+  /// before/after read of stats(), unaffected by concurrent acquires.
   [[nodiscard]] std::shared_ptr<const ScenarioContext> acquire(
-      const Scenario& scenario, const util::ParallelFor* parallel = nullptr);
+      const Scenario& scenario, const util::ParallelFor* parallel = nullptr,
+      bool* built = nullptr);
 
   /// Number of SpaceTimeGraph constructions acquire() has performed — the
   /// build-count probe engine_test uses to assert a sweep builds each
@@ -213,7 +216,7 @@ class ScenarioContextCache {
   /// entry's own mutex (same-key callers collapse into one build).
   std::shared_ptr<const ScenarioContext> find_or_build_in_entry(
       const Scenario& scenario, Entry& entry,
-      const util::ParallelFor* parallel) PSN_REQUIRES(entry.mu);
+      const util::ParallelFor* parallel, bool* built) PSN_REQUIRES(entry.mu);
 
   /// Retains `context` in `entry` if it fits the budget, evicting LRU
   /// entries as needed.

@@ -7,7 +7,6 @@
 
 #include "psn/core/workload.hpp"
 #include "psn/engine/clock.hpp"
-#include "psn/engine/error_slot.hpp"
 #include "psn/engine/result_store.hpp"
 #include "psn/engine/scenario_context.hpp"
 #include "psn/engine/thread_pool.hpp"
@@ -35,7 +34,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
           : owned_pool.emplace(options.threads == 0
                                    ? ThreadPool::hardware_threads()
                                    : options.threads);
-  ErrorSlot errors;
   // One pool-backed executor shared by the sharded graph builds (phase 1)
   // and, when enabled, the simulator's intra-run flood fan-out (phase 2).
   // Caller participation makes it safe to invoke from inside pool tasks.
@@ -50,43 +48,40 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // instead of once per algorithm; tasks copy them into their records.
   std::vector<std::shared_ptr<const ScenarioContext>> contexts(
       plan.scenarios.size());
-  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
-    pool.submit([&plan, &contexts, &errors, &pool_executor, s] {
-      try {
-        contexts[s] = ScenarioContextCache::instance().acquire(
-            plan.scenarios[s], &pool_executor);
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
   std::vector<std::vector<forward::Message>> workloads(
       plan.scenarios.size() * plan.config.runs);
   const auto canonical_spec = [&plan](std::size_t s, std::size_t r)
       -> const RunSpec& { return plan.runs[plan.slot(s, 0, r)]; };
+  ResultStore store(plan.total_runs());  // phase 2's run records.
+  // Every task of this call goes through one group, so each phase waits
+  // on this sweep's own tasks only: the pool may be shared with other
+  // concurrent engine calls. Declared after the state the tasks write, so
+  // an early unwind waits for them before that state dies.
+  TaskGroup tasks(pool);
+  for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
+    tasks.submit([&plan, &contexts, &pool_executor, s] {
+      contexts[s] = ScenarioContextCache::instance().acquire(
+          plan.scenarios[s], &pool_executor);
+    });
+  }
   for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
     for (std::size_t r = 0; r < plan.config.runs; ++r) {
-      pool.submit([&plan, &workloads, &errors, &canonical_spec, s, r] {
-        try {
-          const Scenario& scenario = plan.scenarios[s];
-          const RunSpec& spec = canonical_spec(s, r);
-          core::WorkloadConfig wc;
-          wc.mode = core::WorkloadMode::kPoissonRate;
-          wc.message_rate = spec.message_rate;
-          wc.horizon = scenario.dataset->message_horizon;
-          wc.seed = spec.workload_seed;
-          wc.size_bytes = plan.config.message_size_bytes;
-          wc.ttl = plan.config.message_ttl;
-          workloads[s * plan.config.runs + r] = core::generate_workload(
-              scenario.dataset->trace.num_nodes(), wc);
-        } catch (...) {
-          errors.capture();
-        }
+      tasks.submit([&plan, &workloads, &canonical_spec, s, r] {
+        const Scenario& scenario = plan.scenarios[s];
+        const RunSpec& spec = canonical_spec(s, r);
+        core::WorkloadConfig wc;
+        wc.mode = core::WorkloadMode::kPoissonRate;
+        wc.message_rate = spec.message_rate;
+        wc.horizon = scenario.dataset->message_horizon;
+        wc.seed = spec.workload_seed;
+        wc.size_bytes = plan.config.message_size_bytes;
+        wc.ttl = plan.config.message_ttl;
+        workloads[s * plan.config.runs + r] = core::generate_workload(
+            scenario.dataset->trace.num_nodes(), wc);
       });
     }
   }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  tasks.wait();
 
   // Phase 1.5: shared observation snapshots. Each algorithm that
   // publishes a snapshot key gets its snapshot built once per scenario,
@@ -106,105 +101,93 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     }
     for (std::size_t s = 0; s < plan.scenarios.size(); ++s) {
       for (std::size_t j = 0; j < snapshot_jobs.size(); ++j) {
-        pool.submit([&contexts, &snapshot_jobs, &errors, s, j] {
-          try {
-            const ScenarioContext& context = *contexts[s];
-            const auto proto =
-                forward::make_algorithm(snapshot_jobs[j].second);
-            const auto [snapshot, built] =
-                context.observations->get_or_build(snapshot_jobs[j].first, [&] {
-                  return proto->build_shared_snapshot(*context.graph,
-                                                      context.dataset->trace);
-                });
-            if (built) ScenarioContextCache::instance().reaccount(context);
-          } catch (...) {
-            errors.capture();
-          }
+        tasks.submit([&contexts, &snapshot_jobs, s, j] {
+          const ScenarioContext& context = *contexts[s];
+          const auto proto = forward::make_algorithm(snapshot_jobs[j].second);
+          const auto [snapshot, built] =
+              context.observations->get_or_build(snapshot_jobs[j].first, [&] {
+                return proto->build_shared_snapshot(*context.graph,
+                                                    context.dataset->trace);
+              });
+          if (built) ScenarioContextCache::instance().reaccount(context);
         });
       }
     }
-    pool.wait_idle();
-    errors.rethrow_if_set();
+    tasks.wait();
   }
 
   // Phase 2: the run matrix. Each task is self-contained — it derives its
   // workload and algorithm instance from the spec alone and writes into
   // its plan slot, so nothing here depends on scheduling order.
-  ResultStore store(plan.total_runs());
   for (std::size_t slot = 0; slot < plan.runs.size(); ++slot) {
-    pool.submit([&plan, &options, &contexts, &workloads, &store, &errors,
-                 &canonical_spec, &pool_executor, slot] {
-      try {
-        const RunSpec& spec = plan.runs[slot];
-        const Scenario& scenario = plan.scenarios[spec.scenario];
-        const auto run_start = Clock::now();
+    tasks.submit([&plan, &options, &contexts, &workloads, &store,
+                  &canonical_spec, &pool_executor, slot] {
+      const RunSpec& spec = plan.runs[slot];
+      const Scenario& scenario = plan.scenarios[spec.scenario];
+      const auto run_start = Clock::now();
 
-        RunRecord record;
-        record.spec = spec;
-        // make_plan gives every algorithm of a (scenario, run) the same
-        // workload stream, so the shared pre-generated workload applies;
-        // hand-built plans with divergent specs fall back to generating
-        // their own.
-        const RunSpec& canonical = canonical_spec(spec.scenario, spec.run);
-        if (spec.workload_seed == canonical.workload_seed &&
-            spec.message_rate == canonical.message_rate) {
-          record.run.messages =
-              workloads[spec.scenario * plan.config.runs + spec.run];
-        } else {
-          core::WorkloadConfig wc;
-          wc.mode = core::WorkloadMode::kPoissonRate;
-          wc.message_rate = spec.message_rate;
-          wc.horizon = scenario.dataset->message_horizon;
-          wc.seed = spec.workload_seed;
-          wc.size_bytes = plan.config.message_size_bytes;
-          wc.ttl = plan.config.message_ttl;
-          record.run.messages = core::generate_workload(
-              scenario.dataset->trace.num_nodes(), wc);
-        }
-
-        const auto algorithm =
-            forward::make_algorithm(plan.algorithms[spec.algorithm]);
-        const ScenarioContext& context = *contexts[spec.scenario];
-        if (!options.reference) {
-          const std::string key = algorithm->shared_snapshot_key();
-          if (!key.empty()) {
-            // Normally a hit on the phase-1.5 prebuild; builds here only
-            // when that wave was skipped or the snapshot was evicted.
-            const auto [snapshot, built] =
-                context.observations->get_or_build(key, [&] {
-                  return algorithm->build_shared_snapshot(
-                      *context.graph, context.dataset->trace);
-                });
-            if (built) ScenarioContextCache::instance().reaccount(context);
-            algorithm->adopt_shared_snapshot(snapshot);
-          }
-        }
-        forward::SimulationRequest request;
-        request.algorithm = algorithm.get();
-        request.graph = context.graph.get();
-        request.trace = &context.dataset->trace;
-        request.messages = &record.run.messages;
-        request.traffic = plan.config.traffic;
-        request.seed = spec.sim_seed;
-        if (options.intra_run_parallel) request.parallel = &pool_executor;
-        // One workspace per worker thread, reused across every run the
-        // thread executes: the sweep's steady state simulates without
-        // heap allocation. Workspaces never influence results (asserted
-        // by forward_test's workspace-reuse equivalence).
-        thread_local forward::SimulatorWorkspace workspace;
-        record.run.result = options.reference
-                                ? forward::simulate_reference(request)
-                                : forward::simulate(request, workspace);
-
-        record.wall_seconds = seconds_since(run_start);
-        store.put(slot, std::move(record));
-      } catch (...) {
-        errors.capture();
+      RunRecord record;
+      record.spec = spec;
+      // make_plan gives every algorithm of a (scenario, run) the same
+      // workload stream, so the shared pre-generated workload applies;
+      // hand-built plans with divergent specs fall back to generating
+      // their own.
+      const RunSpec& canonical = canonical_spec(spec.scenario, spec.run);
+      if (spec.workload_seed == canonical.workload_seed &&
+          spec.message_rate == canonical.message_rate) {
+        record.run.messages =
+            workloads[spec.scenario * plan.config.runs + spec.run];
+      } else {
+        core::WorkloadConfig wc;
+        wc.mode = core::WorkloadMode::kPoissonRate;
+        wc.message_rate = spec.message_rate;
+        wc.horizon = scenario.dataset->message_horizon;
+        wc.seed = spec.workload_seed;
+        wc.size_bytes = plan.config.message_size_bytes;
+        wc.ttl = plan.config.message_ttl;
+        record.run.messages = core::generate_workload(
+            scenario.dataset->trace.num_nodes(), wc);
       }
+
+      const auto algorithm =
+          forward::make_algorithm(plan.algorithms[spec.algorithm]);
+      const ScenarioContext& context = *contexts[spec.scenario];
+      if (!options.reference) {
+        const std::string key = algorithm->shared_snapshot_key();
+        if (!key.empty()) {
+          // Normally a hit on the phase-1.5 prebuild; builds here only
+          // when that wave was skipped or the snapshot was evicted.
+          const auto [snapshot, built] =
+              context.observations->get_or_build(key, [&] {
+                return algorithm->build_shared_snapshot(
+                    *context.graph, context.dataset->trace);
+              });
+          if (built) ScenarioContextCache::instance().reaccount(context);
+          algorithm->adopt_shared_snapshot(snapshot);
+        }
+      }
+      forward::SimulationRequest request;
+      request.algorithm = algorithm.get();
+      request.graph = context.graph.get();
+      request.trace = &context.dataset->trace;
+      request.messages = &record.run.messages;
+      request.traffic = plan.config.traffic;
+      request.seed = spec.sim_seed;
+      if (options.intra_run_parallel) request.parallel = &pool_executor;
+      // One workspace per worker thread, reused across every run the
+      // thread executes: the sweep's steady state simulates without
+      // heap allocation. Workspaces never influence results (asserted
+      // by forward_test's workspace-reuse equivalence).
+      thread_local forward::SimulatorWorkspace workspace;
+      record.run.result = options.reference
+                              ? forward::simulate_reference(request)
+                              : forward::simulate(request, workspace);
+
+      record.wall_seconds = seconds_since(run_start);
+      store.put(slot, std::move(record));
     });
   }
-  pool.wait_idle();
-  errors.rethrow_if_set();
+  tasks.wait();
 
   // Phase 3: aggregation, single-threaded in plan order.
   SweepResult result;

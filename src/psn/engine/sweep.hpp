@@ -67,9 +67,11 @@ struct SweepOptions {
   /// one — the batching hook a resident service (psn_serve) uses so every
   /// request shares one warm worker set (and its thread_local simulator
   /// workspaces) instead of paying pool spin-up per request. Results are
-  /// identical either way (slot-addressed, pool-independent). Must not be
-  /// called from inside a task of the same pool (wait_idle would
-  /// self-deadlock).
+  /// identical either way (slot-addressed, pool-independent). The call
+  /// waits on its own TaskGroup only, so several calls may share one pool
+  /// at once (psn_serve's concurrent batch groups). Must not be called
+  /// from inside a task of the same pool: its waits would block a worker
+  /// the call's own tasks may need.
   ThreadPool* pool = nullptr;
   /// Retain pooled delay vectors in the cells (Fig. 10 style drivers need
   /// them; large sweeps can switch them off to bound memory).

@@ -70,11 +70,16 @@ util::ParallelFor parallel_for(ThreadPool& pool) {
     for (std::size_t h = 0; h < helpers; ++h)
       pool.submit([state] { state->drain(); });
     state->drain();
+    std::exception_ptr error;
     {
       util::LockGuard lock(state->mu);
       while (!state->all_done) state->cv.wait(lock);
-      if (state->error) std::rethrow_exception(state->error);
+      // Take the exception out: a straggler helper may drop the last
+      // reference to `state`, and the exception object must not be freed
+      // on that thread while this one still reads it.
+      error = std::move(state->error);
     }
+    if (error) std::rethrow_exception(error);
   };
 }
 
@@ -125,6 +130,40 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
     }
   }
+}
+
+TaskGroup::~TaskGroup() { wait_for_tasks(); }
+
+void TaskGroup::submit(std::function<void()> task) {
+  {
+    util::LockGuard lock(mu_);
+    ++pending_;
+  }
+  pool_.submit([this, task = std::move(task)]() mutable {
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    task = nullptr;  // release the captures while the caller still waits.
+    // Notify under the lock: once wait() sees pending_ == 0 the group may
+    // be destroyed, so this task must not touch it after unlocking.
+    util::LockGuard lock(mu_);
+    if (error && !error_) error_ = std::move(error);
+    if (--pending_ == 0) done_cv_.notify_all();
+  });
+}
+
+void TaskGroup::wait() {
+  wait_for_tasks();
+  util::LockGuard lock(mu_);
+  if (error_) std::rethrow_exception(error_);
+}
+
+void TaskGroup::wait_for_tasks() {
+  util::LockGuard lock(mu_);
+  while (pending_ != 0) done_cv_.wait(lock);
 }
 
 std::size_t ThreadPool::hardware_threads() noexcept {

@@ -1,15 +1,20 @@
 // A fixed-size worker pool for the sweep engine.
 //
-// Deliberately minimal: FIFO queue, submit() + wait_idle(), no futures.
-// Determinism in the sweep does not come from the pool (task completion
-// order is arbitrary) but from result slots being addressed by plan index
-// (see result_store.hpp); the pool only needs to run every task exactly
-// once. Tasks must not throw — callers wrap their work and stash errors.
+// Deliberately minimal: FIFO queue, no futures. Engine calls submit their
+// tasks through a per-call TaskGroup and wait on that group alone, so
+// several calls can share one pool at once (psn_serve runs concurrent
+// batch groups this way); wait_idle() is the pool-wide barrier for
+// callers that own the whole pool. Determinism in the sweep does not come
+// from the pool (task completion order is arbitrary) but from result
+// slots being addressed by plan index (see result_store.hpp); the pool
+// only needs to run every task exactly once. Tasks submitted to the pool
+// directly must not throw; a TaskGroup captures its tasks' exceptions.
 
 #pragma once
 
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -53,6 +58,38 @@ class ThreadPool {
   util::ConditionVariable idle_cv_;
   std::size_t in_flight_ PSN_GUARDED_BY(mu_) = 0;
   bool stopping_ PSN_GUARDED_BY(mu_) = false;
+};
+
+/// A set of tasks on a shared pool that can be waited on by itself:
+/// wait() returns once every task submitted through this group has run,
+/// whatever else the pool holds. The first exception any task threw is
+/// rethrown by wait(). The destructor waits too (without rethrowing), so
+/// no task outlives the state its closure borrows. Like wait_idle(),
+/// wait() must not be called from a task of the same pool: it blocks the
+/// worker it runs on.
+class TaskGroup {
+ public:
+  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
+  ~TaskGroup();
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  /// Enqueues `task` on the pool as a member of this group.
+  void submit(std::function<void()> task);
+
+  /// Blocks until this group's tasks have run, then rethrows the first
+  /// exception one of them threw.
+  void wait();
+
+ private:
+  void wait_for_tasks();
+
+  ThreadPool& pool_;
+  util::Mutex mu_;
+  util::ConditionVariable done_cv_;
+  std::size_t pending_ PSN_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ PSN_GUARDED_BY(mu_);  // first failure.
 };
 
 /// Adapts `pool` to the util::ParallelFor contract. The caller thread

@@ -21,9 +21,10 @@ namespace psn::paths {
 // counts without materializing each variant).
 //
 // A representative Path object (for Figs. 12/14/15, which need actual node
-// sequences) is kept only when config.record_paths is set; otherwise
-// entries are just a bitset plus counters, and the whole sweep does no
-// per-path allocation.
+// sequences) is kept only when config.record_paths is set, in per-node
+// repr pools parallel to the entry pools; otherwise entries are just a
+// bitset plus counters, the repr pools stay empty, and the whole sweep
+// does no per-path allocation.
 //
 // Determinism: every loop the enumerator runs iterates either the graph's
 // sorted adjacency, the sorted active-node list, or an entry pool in
@@ -121,7 +122,7 @@ struct EnumerationRun {
     ws.touched_.push_back(v);
   }
 
-  /// Next live slot of a pool, recycling the Entry (and its NodeSet/Path
+  /// Next live slot of a pool, recycling the Entry (and its NodeSet
   /// capacity) left by a previous message or step.
   static Entry& push_entry(std::vector<Entry>& pool, std::size_t& size) {
     if (size == pool.size()) pool.emplace_back();
@@ -129,8 +130,27 @@ struct EnumerationRun {
     e.mult = 0;
     e.propagated = 0;
     e.hops = 0;
-    e.repr = Path();  // release any stale representative chain.
     return e;
+  }
+
+  /// Representative of slot i of the repr pool `reprs`; null when not
+  /// recording (the pool is empty then).
+  [[nodiscard]] const Path* repr_at(const std::vector<Path>& reprs,
+                                    std::size_t i) const {
+    return recording ? &reprs[i] : nullptr;
+  }
+
+  /// Moves entry slot `from` of the stored pool to slot `to`, keeping the
+  /// repr pool parallel.
+  void swap_stored(NodeTable& t, std::size_t to, std::size_t from) const {
+    std::swap(t.stored[to], t.stored[from]);
+    if (recording) std::swap(t.stored_repr[to], t.stored_repr[from]);
+  }
+
+  /// Shrinks the stored pool's live prefix (and its repr pool) to `live`.
+  void truncate_stored(NodeTable& t, std::size_t live) const {
+    t.stored_size = live;
+    if (recording) t.stored_repr.resize(live);
   }
 
   [[nodiscard]] bool meets_dst(NodeId v) const noexcept {
@@ -243,8 +263,11 @@ struct EnumerationRun {
     e.members = ws.probe_;
     e.hops = hops;
     e.mult = mult;
-    if (recording && repr != nullptr && repr->valid())
-      e.repr = repr->extend(v, current_step);
+    if (recording) {
+      Path& slot = t.fresh_repr.emplace_back();
+      if (repr != nullptr && repr->valid())
+        slot = repr->extend(v, current_step);
+    }
     index_insert(t.fresh_index, t.fresh, t.fresh_size);
     t.fresh_mult += mult;
     if (hops > t.worst_hops) t.worst_hops = hops;
@@ -272,15 +295,14 @@ struct EnumerationRun {
         if (e.members.intersects(ws.dst_mask_)) {
           t.stored_mult -= e.mult;
           total_stored -= e.mult;
-          e.repr = Path();
           dirty = true;
         } else {
-          if (live != r) std::swap(t.stored[live], t.stored[r]);
+          if (live != r) swap_stored(t, live, r);
           ++live;
         }
       }
       if (dirty) {
-        t.stored_size = live;
+        truncate_stored(t, live);
         index_rebuild(t.stored_index, t.stored, live);
       }
     }
@@ -294,12 +316,10 @@ struct EnumerationRun {
             index_find(t.stored_index, t.stored, f.members);
         if (idx != kEmptySlot) {
           t.stored[idx].mult += f.mult;
-          f.repr = Path();
         } else {
           Entry& e = push_entry(t.stored, t.stored_size);
           std::swap(e.members, f.members);  // recycle both slots' storage.
-          e.repr = std::move(f.repr);
-          f.repr = Path();
+          if (recording) t.stored_repr.push_back(std::move(t.fresh_repr[i]));
           e.hops = f.hops;
           e.mult = f.mult;
           index_insert(t.stored_index, t.stored, t.stored_size);
@@ -309,6 +329,7 @@ struct EnumerationRun {
       }
       t.fresh_size = 0;
       t.fresh_mult = 0;
+      t.fresh_repr.clear();
       index_clear(t.fresh_index);
     }
 
@@ -334,15 +355,14 @@ struct EnumerationRun {
         excess -= cut;
         result.effort.truncated_candidates += cut;
         total_stored -= cut;
-        if (e.mult == 0) e.repr = Path();
       }
       std::size_t live = 0;
       for (std::size_t r = 0; r < t.stored_size; ++r) {
         if (t.stored[r].mult == 0) continue;
-        if (live != r) std::swap(t.stored[live], t.stored[r]);
+        if (live != r) swap_stored(t, live, r);
         ++live;
       }
-      t.stored_size = live;
+      truncate_stored(t, live);
       index_rebuild(t.stored_index, t.stored, live);
       t.stored_mult = k;
     }
@@ -402,13 +422,11 @@ struct EnumerationRun {
       if (meets_dst(u)) {
         // Minimal progress: u hands everything it holds to the destination
         // and (first preference) retains nothing; no lateral copies.
-        for (std::size_t i = 0; i < t.stored_size; ++i) {
-          Entry& e = t.stored[i];
-          record_delivery(e.hops, &e.repr, e.mult);
-          e.repr = Path();
-        }
+        for (std::size_t i = 0; i < t.stored_size; ++i)
+          record_delivery(t.stored[i].hops, repr_at(t.stored_repr, i),
+                          t.stored[i].mult);
         total_stored -= t.stored_mult;
-        t.stored_size = 0;
+        truncate_stored(t, 0);
         t.stored_mult = 0;
         t.worst_hops = 0;
         index_clear(t.stored_index);
@@ -416,8 +434,9 @@ struct EnumerationRun {
       }
       for (std::size_t i = 0; i < t.stored_size; ++i) {
         const Entry& e = t.stored[i];
+        const Path* repr = repr_at(t.stored_repr, i);
         for (const NodeId v : neighbors)
-          offer(e.members, e.hops, &e.repr, e.mult, v);
+          offer(e.members, e.hops, repr, e.mult, v);
       }
     }
 
@@ -442,8 +461,9 @@ struct EnumerationRun {
         if (e.mult == e.propagated) continue;
         const std::uint64_t delta = e.mult - e.propagated;
         e.propagated = e.mult;
+        const Path* repr = repr_at(t.fresh_repr, i);
         for (const NodeId v : neighbors)
-          offer(e.members, e.hops, &e.repr, delta, v);
+          offer(e.members, e.hops, repr, delta, v);
       }
     }
     // If the budget ran out, clear the queued flags of abandoned nodes so
@@ -523,8 +543,8 @@ struct EnumerationRun {
     if (ws.nodes_.size() < g.num_nodes()) ws.nodes_.resize(g.num_nodes());
     for (const NodeId v : ws.touched_) {
       NodeTable& t = ws.nodes_[v];
-      for (std::size_t i = 0; i < t.stored_size; ++i) t.stored[i].repr = Path();
-      for (std::size_t i = 0; i < t.fresh_size; ++i) t.fresh[i].repr = Path();
+      t.stored_repr.clear();
+      t.fresh_repr.clear();
       t.stored_size = 0;
       t.fresh_size = 0;
       t.stored_mult = 0;
@@ -546,7 +566,7 @@ struct EnumerationRun {
     origin.members.set(source);
     origin.mult = 1;
     origin.hops = 0;
-    if (recording) origin.repr = Path::origin(source, start);
+    if (recording) st.stored_repr.push_back(Path::origin(source, start));
     index_insert(st.stored_index, st.stored, st.stored_size);
     st.stored_mult = 1;
     st.active_stamp = ws.message_stamp_;

@@ -141,8 +141,9 @@ struct EnumerationResult {
 };
 
 /// Reusable enumeration scratch: per-node path tables (insertion-ordered
-/// entry pools whose NodeSet/Path slots are recycled in place, plus
-/// open-addressed membership indexes that are probed but never iterated),
+/// entry pools whose NodeSet slots are recycled in place, representative
+/// path pools touched only when paths are recorded, plus open-addressed
+/// membership indexes that are probed but never iterated),
 /// the destination-contact marks, the zero-weight-closure frontier, and
 /// the per-step delivery buffer. Capacities are retained, never shrunk;
 /// stale state is made unreadable by 64-bit generation stamps instead of
@@ -165,10 +166,11 @@ class EnumeratorWorkspace {
   friend struct EnumerationRun;  ///< the per-call driver (enumerator.cpp).
 
   /// One pooled path class at a node: every loop-free path with this
-  /// membership set (they are interchangeable — see enumerator.cpp).
+  /// membership set (they are interchangeable — see enumerator.cpp). Its
+  /// representative path lives apart, in the node's repr pool, so that
+  /// entries stay small when paths are not recorded.
   struct Entry {
     util::NodeSet members;
-    Path repr;  ///< representative path; valid() only when recording.
     std::uint64_t mult = 0;
     /// Multiplicity already propagated to neighbors during the current
     /// step (stored entries) or closure round (fresh entries).
@@ -188,6 +190,10 @@ class EnumeratorWorkspace {
   struct NodeTable {
     std::vector<Entry> stored;  ///< live prefix [0, stored_size).
     std::vector<Entry> fresh;   ///< live prefix [0, fresh_size).
+    /// Representative paths, parallel to the live prefixes of stored and
+    /// fresh by slot while paths are recorded; empty otherwise.
+    std::vector<Path> stored_repr;
+    std::vector<Path> fresh_repr;
     std::size_t stored_size = 0;
     std::size_t fresh_size = 0;
     EntryIndex stored_index;

@@ -66,8 +66,8 @@ bool process_line(SweepService& service, const std::string& line,
 
 int run_stdio_server(SweepService& service, std::istream& in,
                      std::ostream& out) {
-  // One writer mutex: responses come from the dispatcher thread while
-  // errors are written inline from this one.
+  // One writer mutex: responses come from the service's runner and
+  // dispatcher threads while errors are written inline from this one.
   auto write_mu = std::make_shared<util::Mutex>();
   const auto write_line = [&out, write_mu](const std::string& text) {
     util::LockGuard lock(*write_mu);
@@ -90,8 +90,9 @@ namespace {
 /// Reads one connection's request lines until the peer closes or the
 /// service shuts down. Responses for this connection's requests are
 /// written back on it, serialized by a per-connection mutex (they arrive
-/// on the dispatcher thread). MSG_NOSIGNAL: a client that disconnects
-/// with responses in flight costs an EPIPE, not the process.
+/// on the service's runner and dispatcher threads). MSG_NOSIGNAL: a
+/// client that disconnects with responses in flight costs an EPIPE, not
+/// the process.
 void serve_connection(SweepService& service, int fd) {
   auto write_mu = std::make_shared<util::Mutex>();
   const auto write_line = [fd, write_mu](const std::string& text) {

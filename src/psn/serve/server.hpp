@@ -3,12 +3,13 @@
 //
 // Protocol (both transports): one JSON request per line in, one JSON
 // response per line out. Responses may arrive out of request order (the
-// dispatcher batches and coalesces); clients correlate by "id". Malformed
-// lines get an immediate {"ok":false,"error":...} response — the process
-// never dies on bad input. The stdio loop ends at EOF or after an admin
-// shutdown request has been answered (clients send shutdown, then close
-// their end); the socket server additionally serves any number of
-// sequential or concurrent connections until shutdown.
+// service batches, coalesces, and runs groups concurrently); clients
+// correlate by "id". Malformed lines get an immediate
+// {"ok":false,"error":...} response — the process never dies on bad
+// input. The stdio loop ends at EOF or after an admin shutdown request
+// has been answered (clients send shutdown, then close their end); the
+// socket server additionally serves any number of sequential or
+// concurrent connections until shutdown.
 
 #pragma once
 
@@ -24,7 +25,8 @@ namespace psn::serve {
 /// receives each response's canonical single-line serialization (without
 /// the trailing newline) — asynchronously for admitted requests, and
 /// synchronously for parse/validation errors. It must be callable from
-/// the dispatcher thread and serialize its own writes. Returns true iff
+/// the service's runner and dispatcher threads, concurrently, and
+/// serialize its own writes. Returns true iff
 /// the line admitted an admin shutdown request.
 bool process_line(SweepService& service, const std::string& line,
                   std::function<void(const std::string&)> write_line);

@@ -91,13 +91,13 @@ Json model_cell_json(const engine::ModelCell& cell) {
 std::shared_ptr<const engine::ScenarioContext> acquire_context(
     const std::string& name, GroupTelemetry& telemetry,
     engine::Scenario* scenario_out) {
-  auto& cache = engine::ScenarioContextCache::instance();
-  const std::uint64_t misses_before = cache.stats().misses;
   const auto build_start = Clock::now();
   engine::Scenario scenario = engine::make_scenario_by_name(name);
-  auto context = cache.acquire(scenario);
+  bool built = false;
+  auto context = engine::ScenarioContextCache::instance().acquire(
+      scenario, nullptr, &built);
   telemetry.build_wall_seconds = seconds_since(build_start);
-  telemetry.cache_hit = cache.stats().misses == misses_before;
+  telemetry.cache_hit = !built;
   if (scenario_out != nullptr) *scenario_out = std::move(scenario);
   return context;
 }
@@ -108,6 +108,7 @@ SweepService::SweepService(ServiceConfig config)
     : config_(config),
       pool_(config.threads == 0 ? engine::ThreadPool::hardware_threads()
                                 : config.threads),
+      runners_(pool_.size()),
       latencies_(kLatencyRing, 0.0) {
   if (config_.cache_budget_bytes > 0)
     engine::ScenarioContextCache::instance().set_budget_bytes(
@@ -121,6 +122,8 @@ SweepService::~SweepService() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
+  // The dispatcher returns only once every group it handed to a runner
+  // has finished, so no runner touches this object after the join.
   dispatcher_.join();
 }
 
@@ -151,7 +154,7 @@ Json SweepService::execute(Request request) {
 
 void SweepService::drain() {
   util::LockGuard lock(mu_);
-  while (!queue_.empty() || dispatching_) idle_cv_.wait(lock);
+  while (!queue_.empty() || dispatching_ || running_ != 0) idle_cv_.wait(lock);
 }
 
 bool SweepService::shutdown_requested() const noexcept {
@@ -163,8 +166,15 @@ void SweepService::dispatch_loop() {
     std::vector<Pending> window;
     {
       util::LockGuard lock(mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.wait(lock);
-      if (queue_.empty()) return;  // stopping with nothing left.
+      // Take a window only while a runner is free: requests arriving
+      // while every runner is busy keep queueing and coalesce.
+      while (!stopping_ && (queue_.empty() || running_ >= runners_.size()))
+        queue_cv_.wait(lock);
+      if (queue_.empty()) {
+        // Stopping with nothing left: outlive the last running group.
+        while (running_ != 0) queue_cv_.wait(lock);
+        return;
+      }
       if (config_.batch_window_seconds > 0 && !stopping_) {
         // The admission window: requests arriving before the deadline
         // join this dispatch and may coalesce with what is already
@@ -177,6 +187,8 @@ void SweepService::dispatch_loop() {
                queue_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
         }
       }
+      // Taking the window and marking it in flight in one critical
+      // section keeps drain() from seeing an idle service in between.
       window.assign(std::make_move_iterator(queue_.begin()),
                     std::make_move_iterator(queue_.end()));
       queue_.clear();
@@ -197,22 +209,43 @@ void SweepService::dispatch_loop() {
       it->second.push_back(std::move(pending));
     }
 
-    // Groups run sequentially on this thread; the shared pool underneath
-    // provides the parallelism (and run_sweep must not be entered from
-    // inside its own pool).
+    // Each engine group runs as one task on a runner thread, concurrently
+    // with the other running groups; they share the compute pool, and
+    // every engine call waits on its own task group only. Admin groups
+    // are barriers, answered here once every group dispatched before them
+    // has finished.
     for (auto& [key, group] : groups) {
       (void)key;
+      const bool admin = group.front().request.family == Family::kAdmin;
       {
         util::LockGuard lock(mu_);
         ++batches_;
+        if (admin) {
+          while (running_ != 0) queue_cv_.wait(lock);
+        } else {
+          ++running_;
+        }
       }
-      execute_group(group);
+      if (admin) {
+        execute_group(group);
+        continue;
+      }
+      runners_.submit([this, group = std::move(group)]() mutable {
+        execute_group(group);
+        group.clear();  // release the callbacks before signalling.
+        // Signal under the lock: once running_ reads 0 the dispatcher may
+        // return and the service die, so nothing here may follow it.
+        util::LockGuard lock(mu_);
+        --running_;
+        queue_cv_.notify_all();
+        if (running_ == 0) idle_cv_.notify_all();
+      });
     }
 
     {
       util::LockGuard lock(mu_);
       dispatching_ = false;
-      if (queue_.empty()) idle_cv_.notify_all();
+      if (running_ == 0 && queue_.empty()) idle_cv_.notify_all();
     }
   }
 }
@@ -414,7 +447,9 @@ void SweepService::respond(Pending& pending, Json payload, bool ok,
         config_.stats_stream != nullptr ? config_.stats_stream : &std::cerr;
     Json line = stats_json();
     line["type"] = "stats";
-    *stream << line.dump() << '\n' << std::flush;
+    const std::string text = line.dump();
+    util::LockGuard lock(stats_stream_mu_);  // runners respond concurrently.
+    *stream << text << '\n' << std::flush;
   }
 }
 

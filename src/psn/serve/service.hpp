@@ -3,16 +3,24 @@
 // Requests enter an admission queue; a dispatcher thread collects
 // everything that arrives within one batching window (a few
 // milliseconds), groups the window's requests by Request::batch_key, and
-// executes each group as ONE engine call on one shared ThreadPool (via
-// the sweep options' `pool` hook, so the worker set and its thread_local
-// workspaces stay warm across requests). Coalescing is lossless:
-// forwarding groups merge their algorithm axes into a single
+// executes each group as ONE engine call on one shared compute
+// ThreadPool (via the sweep options' `pool` hook, so the worker set and
+// its thread_local workspaces stay warm across requests). Coalescing is
+// lossless: forwarding groups merge their algorithm axes into a single
 // single-scenario plan whose per-algorithm cells are bit-identical to
 // serving each request alone (request.hpp explains why; serve_test pins
 // it), and path/model groups are fully identical requests answered by one
-// execution. Groups run sequentially on the dispatcher thread — the pool
-// underneath provides the parallelism, and run_sweep must not be entered
-// from inside its own pool.
+// execution.
+//
+// Groups run concurrently: each is one task on a second pool of runner
+// threads, as many as the compute pool has workers, and its engine call
+// waits on its own TaskGroup only. The dispatcher takes the next window
+// only while a runner is free, so requests arriving while every runner is
+// busy keep queueing and coalescing; with threads = 1 groups run one at a
+// time. Engine calls are never entered from inside the compute pool. Admin
+// requests are barriers: the dispatcher answers them itself, after every
+// group dispatched before them has finished, so `stats` sees every
+// earlier request.
 //
 // Scenario contexts come from the process-wide ScenarioContextCache,
 // whose byte-budgeted retention is what turns the second request for a
@@ -48,7 +56,8 @@
 namespace psn::serve {
 
 struct ServiceConfig {
-  /// Workers of the shared engine pool; 0 means one per hardware thread.
+  /// Workers of the shared engine pool, and runner threads (groups that
+  /// run at once); 0 means one per hardware thread.
   std::size_t threads = 0;
   /// Admission window: how long the dispatcher waits after the first
   /// request of a batch for more requests to coalesce with it. 0 disables
@@ -88,12 +97,15 @@ struct GroupTelemetry {
 
 class SweepService {
  public:
-  /// Receives the response object for one request. Invoked on the
-  /// dispatcher thread; must not re-enter the service except enqueue().
+  /// Receives the response object for one request. Invoked on a runner
+  /// thread (engine requests) or the dispatcher thread (admin requests),
+  /// possibly concurrently for different requests; must not re-enter the
+  /// service except enqueue().
   using Callback = std::function<void(const Json&)>;
 
   explicit SweepService(ServiceConfig config = {});
-  /// Drains the queue, then stops the dispatcher and the pool.
+  /// Drains the queue, then stops the dispatcher, the runners and the
+  /// pool.
   ~SweepService();
 
   SweepService(const SweepService&) = delete;
@@ -136,15 +148,21 @@ class SweepService {
   [[nodiscard]] Json stats_json() const;
 
   ServiceConfig config_;
-  engine::ThreadPool pool_;
+  engine::ThreadPool pool_;     ///< compute workers, shared by all groups.
+  engine::ThreadPool runners_;  ///< one task per running group.
 
   mutable util::Mutex mu_;
-  util::ConditionVariable queue_cv_;  ///< dispatcher wakeups.
-  util::ConditionVariable idle_cv_;   ///< drain()/execute() wakeups.
+  /// Dispatcher wakeups: admissions, shutdown, and finished groups.
+  util::ConditionVariable queue_cv_;
+  util::ConditionVariable idle_cv_;  ///< drain() wakeups.
   std::deque<Pending> queue_ PSN_GUARDED_BY(mu_);
   bool stopping_ PSN_GUARDED_BY(mu_) = false;
-  /// A window's groups are executing.
+  /// The dispatcher holds a taken window whose groups are not all handed
+  /// to runners (or answered, for admin groups) yet.
   bool dispatching_ PSN_GUARDED_BY(mu_) = false;
+  /// Groups handed to runners and not finished yet.
+  std::size_t running_ PSN_GUARDED_BY(mu_) = 0;
+  util::Mutex stats_stream_mu_;  ///< serializes periodic stats lines.
   std::atomic<bool> shutdown_requested_{false};
 
   // Counters.

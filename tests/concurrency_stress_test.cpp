@@ -14,7 +14,9 @@
 #include <barrier>
 #include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,7 +24,10 @@
 #include <vector>
 
 #include "psn/core/dataset.hpp"
+#include "psn/engine/model_sweep.hpp"
+#include "psn/engine/path_sweep.hpp"
 #include "psn/engine/scenario_context.hpp"
+#include "psn/engine/sweep.hpp"
 #include "psn/engine/thread_pool.hpp"
 #include "psn/forward/algorithm.hpp"
 #include "psn/forward/algorithm_registry.hpp"
@@ -289,6 +294,116 @@ TEST(ThreadPoolStress, ParallelForRethrowLeavesPoolHealthy) {
     });
     EXPECT_EQ(after.load(), 16) << "round " << round;
   }
+}
+
+// Deterministic fingerprints of the three sweep families: every result
+// field a caller reads, doubles in hexfloat so equality is bit equality.
+std::string fingerprint(const engine::SweepResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const engine::CellSummary& cell : result.cells)
+    out << cell.scenario << '/' << cell.algorithm << ' '
+        << cell.overall.messages << ' ' << cell.overall.delivered << ' '
+        << cell.overall.success_rate << ' ' << cell.overall.average_delay
+        << ' ' << cell.overall.average_hops << ' ' << cell.cost_per_message
+        << ' ' << cell.truncated_relay_steps << ' ' << cell.messages_offered
+        << '\n';
+  return out.str();
+}
+
+std::string fingerprint(const engine::PathSweepResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const engine::PathCell& cell : result.cells)
+    for (const paths::ExplosionRecord& r : cell.records)
+      out << cell.scenario << ' ' << r.source << ' ' << r.destination << ' '
+          << r.t_start << ' ' << r.delivered << ' ' << r.exploded << ' '
+          << r.optimal_duration << ' ' << r.time_to_explosion << ' '
+          << r.total_paths << ' ' << r.effort.peak_stored_paths << ' '
+          << r.effort.truncated_candidates << '\n';
+  return out.str();
+}
+
+std::string fingerprint(const engine::ModelSweepResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const engine::ModelCell& cell : result.cells) {
+    out << cell.scenario << ' ' << cell.jump_events << '\n';
+    for (const engine::EnsemblePoint& point : cell.trajectory)
+      out << point.t << ' ' << point.mean_paths << ' ' << point.var_mean_paths
+          << '\n';
+    for (std::size_t q = 0; q < 4; ++q)
+      out << cell.quadrants.messages[q] << ' ' << cell.quadrants.delivered[q]
+          << ' ' << cell.quadrants.exploded[q] << '\n';
+  }
+  return out.str();
+}
+
+// Engine calls sharing one pool: four threads call run_sweep,
+// run_path_sweep and run_model_sweep at once on a single ThreadPool, the
+// way psn_serve's runners do. Each call waits on its own TaskGroup, so
+// the calls interleave on the workers; every result must still equal the
+// call's solo run. Under TSan this covers the group bookkeeping and the
+// per-thread workspaces shared across calls.
+TEST(EngineStress, ConcurrentSweepsOnSharedPoolMatchSoloRuns) {
+  engine::ThreadPool pool(4);
+
+  engine::PlanConfig forwarding_config;
+  forwarding_config.runs = 2;
+  forwarding_config.message_rate = 0.05;
+  const engine::SweepPlan forwarding = engine::make_plan(
+      {owned_scenario(31, "stress-forwarding")}, {"Epidemic", "FRESH"},
+      forwarding_config);
+  engine::SweepOptions forwarding_options;
+  forwarding_options.pool = &pool;
+
+  engine::PathSweepPlan path;
+  path.scenarios.push_back(owned_scenario(32, "stress-path"));
+  path.config.messages = 6;
+  path.config.k = 48;
+  engine::PathSweepOptions path_options;
+  path_options.pool = &pool;
+
+  engine::ModelSweepPlan model;
+  engine::ModelScenario model_scenario =
+      engine::make_model_scenario("model_100");
+  model_scenario.mc.messages = 6;
+  model.scenarios.push_back(std::move(model_scenario));
+  model.config.jump_replicas = 3;
+  engine::ModelSweepOptions model_options;
+  model_options.pool = &pool;
+
+  const auto run_call = [&](std::size_t kind) {
+    if (kind == 0)
+      return fingerprint(engine::run_sweep(forwarding, forwarding_options));
+    if (kind == 1)
+      return fingerprint(engine::run_path_sweep(path, path_options));
+    return fingerprint(engine::run_model_sweep(model, model_options));
+  };
+  const std::vector<std::string> solo = {run_call(0), run_call(1),
+                                         run_call(2)};
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 2;
+  std::vector<std::vector<std::string>> got(
+      kThreads, std::vector<std::string>(3 * kRounds));
+  std::barrier start(kThreads);
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Rotate the call order per thread so all three families overlap.
+      for (std::size_t i = 0; i < 3 * kRounds; ++i)
+        got[t][i] = run_call((t + i) % 3);
+    });
+  }
+  for (auto& caller : callers) caller.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < 3 * kRounds; ++i)
+      EXPECT_EQ(got[t][i], solo[(t + i) % 3])
+          << "thread " << t << ", call " << i;
 }
 
 }  // namespace

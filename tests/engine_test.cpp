@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +76,53 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
   pool.submit([&counter] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 1);
+}
+
+// A group's wait() covers its own tasks only: group A's wait returns
+// while a task of group B is still held by a latch. A throwing task is
+// rethrown by wait() once the whole group has run, and the pool keeps
+// serving work afterwards.
+TEST(ThreadPool, TaskGroupWaitsOnlyForItsOwnTasks) {
+  ThreadPool pool(2);
+  std::latch release(1);
+  std::atomic<bool> b_done{false};
+  TaskGroup b(pool);
+  b.submit([&] {
+    release.wait();
+    b_done = true;
+  });
+
+  std::atomic<int> a_ran{0};
+  TaskGroup a(pool);
+  for (int i = 0; i < 16; ++i) a.submit([&a_ran] { ++a_ran; });
+  a.wait();  // must not wait for b's held task.
+  EXPECT_EQ(a_ran.load(), 16);
+  EXPECT_FALSE(b_done.load());
+  release.count_down();
+  b.wait();
+  EXPECT_TRUE(b_done.load());
+
+  std::atomic<int> failing_ran{0};
+  TaskGroup failing(pool);
+  for (int i = 0; i < 8; ++i) {
+    failing.submit([&failing_ran, i] {
+      ++failing_ran;
+      if (i == 3) throw std::runtime_error("task failure");
+    });
+  }
+  try {
+    failing.wait();
+    FAIL() << "wait() swallowed the task exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "task failure");
+  }
+  EXPECT_EQ(failing_ran.load(), 8);
+
+  std::atomic<int> after{0};
+  TaskGroup healthy(pool);
+  for (int i = 0; i < 8; ++i) healthy.submit([&after] { ++after; });
+  healthy.wait();
+  EXPECT_EQ(after.load(), 8);
 }
 
 TEST(RunSpec, PlanExpandsFullCrossProduct) {

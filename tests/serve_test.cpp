@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -407,6 +408,179 @@ TEST(Server, ProcessLineRejectsMalformedInputWithoutDying) {
   const Json validation_error = Json::parse(lines[1]);
   EXPECT_FALSE(validation_error.at("ok").as_bool());
   EXPECT_EQ(validation_error.at("id").as_string(), "v");
+}
+
+// ------------------------------------------------- Concurrent groups --
+
+/// Collects asynchronous responses in arrival order.
+class Responses {
+ public:
+  SweepService::Callback callback() {
+    return [this](const Json& response) {
+      std::lock_guard<std::mutex> lock(mu_);
+      arrived_.push_back(response);
+      cv_.notify_all();
+    };
+  }
+
+  /// Blocks until `n` responses have arrived; returns them in order.
+  std::vector<Json> wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return arrived_.size() >= n; });
+    return arrived_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Json> arrived_;
+};
+
+Request path_request(const std::string& id, const std::string& scenario,
+                     std::size_t messages, std::size_t k) {
+  Request request;
+  request.id = id;
+  request.family = Family::kPath;
+  request.path.scenario = scenario;
+  request.path.messages = messages;
+  request.path.k = k;
+  return request;
+}
+
+Request model_request(const std::string& id, std::uint64_t master_seed) {
+  Request request;
+  request.id = id;
+  request.family = Family::kModel;
+  request.model.scenario = "model_100";
+  request.model.jump_replicas = 2;
+  request.model.mc_messages = 4;
+  request.model.master_seed = master_seed;
+  return request;
+}
+
+// Groups run concurrently: a short forwarding request admitted after a
+// long path request is answered first instead of waiting behind it.
+TEST(Service, LongGroupDoesNotBlockLaterGroup) {
+  ServiceConfig config;
+  config.threads = 4;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+
+  Request direct = forwarding_request("short", {"Direct"});
+  direct.forwarding.runs = 1;
+  Responses responses;
+  service.enqueue(path_request("long", "conference_small", 4, 2000),
+                  responses.callback());
+  service.enqueue(std::move(direct), responses.callback());
+  const std::vector<Json> arrived = responses.wait_for(2);
+  for (const Json& response : arrived)
+    ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+  EXPECT_EQ(arrived[0].at("id").as_string(), "short");
+  EXPECT_EQ(arrived[1].at("id").as_string(), "long");
+}
+
+// Admin requests are barriers: a stats request enqueued right behind a
+// cold forwarding request is answered only after it and sees its
+// response and its cache miss.
+TEST(Service, AdminCommandSeesEarlierRequests) {
+  engine::ScenarioContextCache::instance().clear();
+  ServiceConfig config;
+  config.threads = 4;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+
+  Request stats_request;
+  stats_request.id = "stats";
+  stats_request.family = Family::kAdmin;
+  stats_request.admin.command = AdminCommand::kStats;
+  Responses responses;
+  service.enqueue(forwarding_request("cold", {"Epidemic"}),
+                  responses.callback());
+  service.enqueue(std::move(stats_request), responses.callback());
+  const std::vector<Json> arrived = responses.wait_for(2);
+  ASSERT_EQ(arrived[1].at("id").as_string(), "stats");
+  const Json& stats = arrived[1].at("result");
+  EXPECT_EQ(stats.at("responses_ok").as_number(), 1.0);
+  EXPECT_EQ(stats.at("cache_misses").as_number(), 1.0);
+}
+
+// Forwarding, path and model requests of several batch keys run together
+// on four runners; every result payload equals the same request served
+// alone at one thread.
+TEST(Service, ConcurrentMixedFamiliesMatchSerial) {
+  std::vector<Request> requests;
+  requests.push_back(forwarding_request("f1", {"Epidemic", "FRESH"}));
+  Request f2 = forwarding_request("f2", {"Greedy", "Direct"});
+  f2.forwarding.scenario = "conference_small";
+  f2.forwarding.runs = 1;
+  requests.push_back(std::move(f2));
+  requests.push_back(forwarding_request("f3", {"FRESH"}));
+  requests.push_back(path_request("p1", "random_waypoint", 4, 32));
+  requests.push_back(path_request("p2", "conference_small", 3, 64));
+  requests.push_back(model_request("m1", 1));
+  requests.push_back(model_request("m2", 2));
+
+  std::map<std::string, std::string> serial;
+  {
+    ServiceConfig config;
+    config.threads = 1;
+    config.batch_window_seconds = 0.0;
+    SweepService service(config);
+    for (const Request& request : requests) {
+      const Json response = service.execute(request);
+      ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+      serial[request.id] = response.at("result").dump();
+    }
+  }
+
+  ServiceConfig config;
+  config.threads = 4;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+  Responses responses;
+  for (const Request& request : requests)
+    service.enqueue(request, responses.callback());
+  const std::vector<Json> arrived = responses.wait_for(requests.size());
+  ASSERT_EQ(arrived.size(), requests.size());
+  for (const Json& response : arrived) {
+    const std::string id = response.at("id").as_string();
+    ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
+    EXPECT_EQ(response.at("result").dump(), serial.at(id)) << id;
+  }
+}
+
+// Cache-hit telemetry is per call: two concurrent groups on two cold
+// scenarios each report a miss, whatever the other group builds
+// meanwhile, and their repeats report hits.
+TEST(Service, ConcurrentColdGroupsEachReportMiss) {
+  engine::ScenarioContextCache::instance().clear();
+  ServiceConfig config;
+  config.threads = 4;
+  config.batch_window_seconds = 0.0;
+  SweepService service(config);
+
+  Request conference = forwarding_request("conference", {"Epidemic"});
+  conference.forwarding.scenario = "conference_small";
+  Responses cold;
+  service.enqueue(forwarding_request("waypoint", {"Epidemic"}),
+                  cold.callback());
+  service.enqueue(conference, cold.callback());
+  for (const Json& response : cold.wait_for(2))
+    EXPECT_FALSE(response.at("telemetry").at("cache_hit").as_bool())
+        << response.dump();
+
+  Responses warm;
+  service.enqueue(forwarding_request("waypoint-again", {"Epidemic"}),
+                  warm.callback());
+  conference.id = "conference-again";
+  service.enqueue(conference, warm.callback());
+  for (const Json& response : warm.wait_for(2))
+    EXPECT_TRUE(response.at("telemetry").at("cache_hit").as_bool())
+        << response.dump();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 2u);
 }
 
 // An admitted shutdown ends the stdio loop without reading another line

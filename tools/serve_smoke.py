@@ -5,9 +5,12 @@ through stdin and validate the responses.
 The session exercises one request per family (forwarding, path, admin
 stats) plus the shutdown command, i.e. the full stdio protocol path:
 line parsing, validation, engine execution, telemetry stamping, and the
-clean-exit handshake. Intended for CI (one Release-job step) and local
-checks after touching src/psn/serve/ — it finishes in a couple of
-seconds on the conference_small scenario.
+clean-exit handshake. A second session checks that batch groups run
+concurrently: a short forwarding request sent after a long path request
+is answered first, and the admin requests behind them (evict, stats)
+wait for both. Intended for CI (one Release-job step) and local checks
+after touching src/psn/serve/ — it finishes in a couple of seconds on
+the conference_small scenario.
 
 The harness streams responses with deadlines instead of one blocking
 subprocess.run, so every child-failure mode is a loud nonzero exit
@@ -67,6 +70,29 @@ TELEMETRY_KEYS = (
     "run_wall_seconds",
     "latency_seconds",
 )
+
+# Concurrent groups: a long path request, then a short forwarding request
+# on another scenario, then admin requests that must wait for both.
+ORDER_REQUESTS = [
+    {
+        "id": "order-long-path",
+        "family": "path",
+        "scenario": "conference_small",
+        "messages": 4,
+        "k": 2000,
+    },
+    {
+        "id": "order-short-forwarding",
+        "family": "forwarding",
+        "scenario": "random_waypoint",
+        "algorithms": ["Direct"],
+        "runs": 1,
+    },
+    {"id": "order-evict", "family": "admin", "command": "evict",
+     "scenario": "random_waypoint"},
+    {"id": "order-stats", "family": "admin", "command": "stats"},
+    {"id": "order-shutdown", "family": "admin", "command": "shutdown"},
+]
 
 # Generous for sanitizer builds; a healthy Release binary answers the
 # whole session in seconds.
@@ -207,6 +233,49 @@ def shutdown_with_open_stdin(binary):
     child.proc.stdin.close()
 
 
+def concurrent_groups_session(binary):
+    """A short request behind a long one is answered first; admin
+    requests are barriers behind both. Two threads give two runners on
+    any host."""
+    child = Child([binary, "--threads", "2"])
+    try:
+        for request in ORDER_REQUESTS:
+            child.proc.stdin.write(json.dumps(request) + "\n")
+        child.proc.stdin.flush()
+        child.proc.stdin.close()
+    except (BrokenPipeError, OSError):
+        child.proc.wait()
+        child.die("stdin pipe broke while sending the ordering session")
+
+    order = []
+    responses = {}
+    for _ in ORDER_REQUESTS:
+        response = child.next_response("the ordering session's responses")
+        order.append(response["id"])
+        responses[response["id"]] = response
+    for request in ORDER_REQUESTS:
+        require(request["id"] in responses,
+                f"no response for {request['id']}")
+        validate_envelope(responses[request["id"]])
+
+    require(order.index("order-short-forwarding")
+            < order.index("order-long-path"),
+            f"short forwarding answered after the long path request: "
+            f"{order}")
+    require(order.index("order-evict") > order.index("order-long-path"),
+            f"evict answered before the earlier path request: {order}")
+    require(responses["order-evict"]["result"]["evicted"] == 1,
+            "evict: random_waypoint was not resident after its request")
+    stats = responses["order-stats"]["result"]
+    # Forwarding, path and evict were all answered before stats.
+    require(stats["responses_ok"] == 3,
+            f"stats: responses_ok {stats['responses_ok']} != 3")
+    require(stats["requests"] >= 4,
+            f"stats: requests {stats['requests']} < 4")
+    child.expect_clean_exit()
+    return order
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -273,10 +342,12 @@ def main():
     child.expect_clean_exit()
 
     shutdown_with_open_stdin(sys.argv[1])
+    order = concurrent_groups_session(sys.argv[1])
 
     print(f"serve_smoke: OK ({len(responses)} responses, clean exit; "
           f"Epidemic success {cells[0]['success_rate']:.4f}, "
-          f"FRESH success {cells[1]['success_rate']:.4f})")
+          f"FRESH success {cells[1]['success_rate']:.4f}; "
+          f"concurrent groups answered {' < '.join(order[:2])})")
 
 
 if __name__ == "__main__":
